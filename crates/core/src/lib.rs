@@ -64,5 +64,6 @@ pub use dosepl::{
 pub use error::DmoptError;
 pub use formulate::{Formulation, FormulationParams, VarLayout};
 pub use optimize::{
-    optimize, DmoptConfig, DmoptResult, Layers, Objective, ObsSolverObserver, SolverKind,
+    formulation_params, optimize, DmoptConfig, DmoptResult, Layers, Objective, ObsSolverObserver,
+    SolverKind,
 };

@@ -3,23 +3,34 @@
 //! and the [`dme_obs::TrackingAllocator`] hook is branch-only (one
 //! relaxed load, no tally movement).
 //!
-//! Lives in its own integration binary so the counting allocator and
-//! single-threaded accounting don't interfere with other tests. The
-//! global allocator here is the same wrapper `dmeopt` installs,
-//! stacked on a raw allocation counter, so the zero-alloc assertion
-//! also covers the profiling hook itself.
+//! Lives in its own integration binary so the counting allocator does
+//! not interfere with other tests. The global allocator here is the same
+//! wrapper `dmeopt` installs, stacked on a raw allocation counter, so
+//! the zero-alloc assertion also covers the profiling hook itself.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 
 struct CountingAlloc;
 
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    /// Allocations made by this thread. The harness runs the tests on
+    /// parallel threads; a process-wide count would charge one test's
+    /// allocations to another's measured window.
+    static ALLOCS: Cell<u64> = const { Cell::new(0) };
+}
 
-// SAFETY: delegates directly to the system allocator.
+/// This thread's allocation count so far.
+fn thread_allocs() -> u64 {
+    ALLOCS.with(Cell::get)
+}
+
+// SAFETY: delegates directly to the system allocator; the counter is a
+// const-initialized thread-local `Cell`, which never allocates.
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        // `try_with`: the slot may already be gone while a thread exits.
+        let _ = ALLOCS.try_with(|c| c.set(c.get() + 1));
         unsafe { System.alloc(layout) }
     }
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
@@ -49,7 +60,7 @@ fn disabled_tracing_does_not_allocate() {
     assert!(!dme_obs::enabled());
     assert!(!dme_obs::stream_armed());
 
-    let before = ALLOCS.load(Ordering::Relaxed);
+    let before = thread_allocs();
     for i in 0..1000u64 {
         let _s = dme_obs::span("hot");
         let _t = dme_obs::span("nested");
@@ -63,7 +74,7 @@ fn disabled_tracing_does_not_allocate() {
         std::hint::black_box(dme_obs::thread_alloc_totals());
         assert!(!std::hint::black_box(dme_obs::stream_armed()));
     }
-    let after = ALLOCS.load(Ordering::Relaxed);
+    let after = thread_allocs();
     assert_eq!(after - before, 0, "disabled tracing must not heap-allocate");
 }
 

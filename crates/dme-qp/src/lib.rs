@@ -57,7 +57,10 @@ pub use admm::{AdmmSettings, AdmmSolver, Solution, SolveStatus};
 pub use csr::CsrMatrix;
 pub use error::SolveError;
 pub use ipm::{IpmSettings, IpmSolver, NewtonBackend};
-pub use observer::{CgSolve, FactorizationEvent, IpmIteration, NopObserver, SolverObserver};
+pub use observer::{
+    BackendDecision, CgSolve, DecisionReason, FactorizationEvent, IpmIteration, NopObserver,
+    SolverObserver,
+};
 pub use strategies::IpmStrategy;
 
 /// A convex quadratic program `min ½·xᵀPx + qᵀx  s.t.  l ≤ Ax ≤ u`.

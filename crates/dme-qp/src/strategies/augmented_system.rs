@@ -113,6 +113,7 @@ impl AugmentedSystem for CondensedSystem<'_> {
                 refactor_ns: t0.elapsed().as_nanos() as u64,
                 nnz_l: ds.nnz_l,
                 n: ds.num_vars(),
+                pivots_clamped: ds.pivots_clamped,
             });
         }
     }
