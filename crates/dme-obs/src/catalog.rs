@@ -6,7 +6,8 @@
 //! catalog is a static registry of *intent* — a name appearing here
 //! does not mean the current run touched it (feature flags and engine
 //! selection gate several), and instrumentation added under a new name
-//! should land here in the same change.
+//! should land here in the same change: tests in `dmeopt` fail when a
+//! traced flow (library or CLI) emits a name that has no row here.
 
 /// Which primitive a catalog entry describes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -201,6 +202,14 @@ pub const METRICS: &[MetricInfo] = &[
         "factorizations reusing the cached symbolic analysis",
     ),
     c("sta/analyze_calls", "full timing analyses"),
+    c(
+        "sta/analyze_parallel",
+        "full timing analyses run level-parallel",
+    ),
+    c(
+        "sta/analyze_serial",
+        "full timing analyses run serially (one effective thread)",
+    ),
     c("sta/gates_evaluated", "gate delay evaluations"),
     c("sta/levels_evaluated", "topological levels visited"),
     c("sta/retime_calls", "incremental re-timing calls"),
@@ -219,6 +228,10 @@ pub const METRICS: &[MetricInfo] = &[
     h(
         "qp/refactor_ns_per_iter",
         "refactorization wall time per IPM iteration, ns",
+    ),
+    h(
+        "sta/retime_cone_gates",
+        "gates re-evaluated per incremental re-timing",
     ),
     // Record series.
     r(
@@ -252,6 +265,10 @@ pub const METRICS: &[MetricInfo] = &[
     ),
     s("flow/dmopt/formulate", "QP formulation assembly"),
     s("flow/dmopt/snap_signoff", "post-snap golden signoff STA"),
+    s(
+        "flow/dmopt/snap_signoff/sta_analyze",
+        "full STA of the snapped dose map",
+    ),
     s("flow/dmopt/solve", "one QCP probe solve"),
     s("flow/dmopt/solve/ipm", "interior-point method iterations"),
     s(
@@ -287,43 +304,119 @@ pub const METRICS: &[MetricInfo] = &[
         "Mehrotra starting-point heuristic (cold solves; nests its own refactor/solve)",
     ),
     s(
+        "flow/dmopt/solve/ipm/start/refactor",
+        "numeric LDL^T refactorization for the starting point",
+    ),
+    s(
+        "flow/dmopt/solve/ipm/start/solve",
+        "Newton system solve for the starting point",
+    ),
+    s(
         "flow/dmopt/solve/ipm/symbolic",
         "symbolic analysis (ordering + pattern)",
     ),
     s("flow/dosepl", "dose-aware detailed placement (swap rounds)"),
     s(
         "flow/dosepl/entry_sta",
-        "entry full STA establishing the round baseline",
+        "entry full STA cross-check of the incremental timer (debug builds only)",
+    ),
+    s(
+        "flow/dosepl/entry_sta/sta_analyze",
+        "full STA at dosePl entry",
     ),
     s("flow/dosepl/round", "one swap round"),
-    s("flow/dosepl/round/commit", "committing accepted swaps"),
-    s(
-        "flow/dosepl/round/dose_update",
-        "dose-map grid update after a swap",
-    ),
     s("flow/dosepl/round/enumerate", "candidate pair enumeration"),
     s(
         "flow/dosepl/round/enumerate_paths",
         "critical-path enumeration at round start (top-K or full walk)",
     ),
     s(
+        "flow/dosepl/round/enumerate_paths/sta_analyze",
+        "round-start full STA (full-walk enumerator, or debug-build cross-check)",
+    ),
+    s(
         "flow/dosepl/round/filter",
         "bbox/HPWL/leakage candidate filters",
     ),
-    s("flow/dosepl/round/repack", "row repacking after a swap"),
     s(
-        "flow/dosepl/round/retime_eval",
+        "flow/dosepl/round/filter/commit",
+        "provisionally keeping a swap that improved MCT",
+    ),
+    s(
+        "flow/dosepl/round/filter/dose_update",
+        "dose re-derivation of the cells a swap moved",
+    ),
+    s(
+        "flow/dosepl/round/filter/repack",
+        "row repacking after a swap",
+    ),
+    s(
+        "flow/dosepl/round/filter/retime_eval",
         "incremental timing of a candidate",
     ),
     s(
-        "flow/dosepl/round/retime_undo",
-        "journal undo of a rejected candidate",
+        "flow/dosepl/round/filter/retime_eval/retime_cone",
+        "fanout-cone gate re-evaluation",
     ),
-    s("flow/dosepl/round_signoff", "per-round signoff STA"),
-    s("flow/dosepl/signoff", "final dosepl signoff STA"),
-    s("flow/golden_sta", "golden full STA checkpoints"),
-    s("flow/legalize", "displacement-preserving legalization"),
-    s("flow/place", "initial placement"),
+    s(
+        "flow/dosepl/round/filter/retime_eval/retime_diff",
+        "diff of moved/re-dosed cells against the timer's mirror",
+    ),
+    s(
+        "flow/dosepl/round/filter/retime_eval/retime_mct",
+        "MCT update from changed endpoint contributions",
+    ),
+    s(
+        "flow/dosepl/round/filter/retime_eval/retime_nets",
+        "load and wire-delay refresh of affected nets",
+    ),
+    s(
+        "flow/dosepl/round/filter/retime_undo",
+        "undo of a rejected candidate's timing",
+    ),
+    s(
+        "flow/dosepl/round/filter/retime_undo/retime_cone",
+        "reference engine: cone re-timed back to the old inputs",
+    ),
+    s(
+        "flow/dosepl/round/filter/retime_undo/retime_diff",
+        "reference engine: full mirror diff of the restored inputs",
+    ),
+    s(
+        "flow/dosepl/round/filter/retime_undo/retime_mct",
+        "reference engine: MCT update after re-timing back",
+    ),
+    s(
+        "flow/dosepl/round/filter/retime_undo/retime_nets",
+        "reference engine: net refresh after re-timing back",
+    ),
+    s(
+        "flow/dosepl/round/filter/retime_undo/retime_undo_replay",
+        "delta engine: STA undo-journal replay (zero gate evaluations)",
+    ),
+    s(
+        "flow/dosepl/round/round_signoff",
+        "round-end full STA cross-check of the incremental timer (debug builds only)",
+    ),
+    s(
+        "flow/dosepl/round/round_signoff/sta_analyze",
+        "full STA at round end",
+    ),
+    s(
+        "flow/dosepl/signoff",
+        "final dosePl golden signoff (the one full STA of a release-build call)",
+    ),
+    s(
+        "flow/dosepl/signoff/sta_analyze",
+        "full STA of the returned placement",
+    ),
+    s(
+        "golden_sta",
+        "CLI nominal golden STA (optimization context build)",
+    ),
+    s("golden_sta/sta_analyze", "full STA at nominal geometry"),
+    s("place", "initial placement (CLI)"),
+    s("place/legalize", "displacement-preserving legalization"),
 ];
 
 /// Renders the catalog as an aligned text table, one metric per line,

@@ -228,6 +228,28 @@ pub(crate) fn mct_from_arrivals(
     mct
 }
 
+/// Total golden leakage power, µW, of a netlist under a geometry
+/// assignment: the exponential leakage model summed over instances in
+/// index order. [`analyze`] reports exactly this value (same bits) as
+/// [`TimingReport::total_leakage_uw`]; leakage needs no timing, so
+/// callers that already hold the MCT can skip the full analysis.
+///
+/// # Panics
+///
+/// Panics if the assignment is shorter than the instance count.
+pub fn total_leakage_uw(lib: &Library, nl: &Netlist, doses: &GeometryAssignment) -> f64 {
+    let tech = lib.tech();
+    nl.instances
+        .iter()
+        .enumerate()
+        .map(|(i, inst)| {
+            lib.cell(inst.cell_idx)
+                .leakage_nw(tech, doses.dl_nm[i], doses.dw_nm[i])
+        })
+        .sum::<f64>()
+        / 1000.0
+}
+
 /// Runs golden STA + leakage analysis on a placed netlist under a
 /// geometry assignment.
 ///
@@ -477,14 +499,7 @@ pub fn analyze_with_mode(
         slack[i] = required[i] - arrival[i];
     }
 
-    // --- golden leakage ---
-    let total_leakage_uw: f64 = (0..n)
-        .map(|i| {
-            lib.cell(nl.instances[i].cell_idx)
-                .leakage_nw(tech, doses.dl_nm[i], doses.dw_nm[i])
-        })
-        .sum::<f64>()
-        / 1000.0;
+    let total_leakage_uw = total_leakage_uw(lib, nl, doses);
 
     TimingReport {
         arrival_ns: arrival,
@@ -554,6 +569,22 @@ mod tests {
         for i in 0..d.netlist.num_instances() {
             assert_eq!(rs.arrival_ns[i].to_bits(), rp.arrival_ns[i].to_bits());
             assert_eq!(rs.slack_ns[i].to_bits(), rp.slack_ns[i].to_bits());
+        }
+    }
+
+    #[test]
+    fn total_leakage_matches_the_report_bitwise() {
+        let (lib, d, p) = setup();
+        let n = d.netlist.num_instances();
+        for doses in [
+            GeometryAssignment::nominal(n),
+            GeometryAssignment::uniform(n, -6.0, 4.0),
+        ] {
+            let r = analyze(&lib, &d.netlist, &p, &doses);
+            assert_eq!(
+                total_leakage_uw(&lib, &d.netlist, &doses).to_bits(),
+                r.total_leakage_uw.to_bits()
+            );
         }
     }
 

@@ -42,7 +42,9 @@ pub mod sdf;
 mod wire;
 
 pub use delta::AssignmentDelta;
-pub use engine::{analyze, analyze_with_mode, GeometryAssignment, StaMode, TimingReport};
+pub use engine::{
+    analyze, analyze_with_mode, total_leakage_uw, GeometryAssignment, StaMode, TimingReport,
+};
 pub use incremental::{IncrementalSta, RetimeStats, TopKStats};
 pub use paths::{
     top_k_paths, worst_path_per_endpoint, worst_paths_per_endpoint_k, worst_paths_top_k,

@@ -4,6 +4,7 @@
 //! invocation yields stage spans, per-iteration solver telemetry, and
 //! dosePl accept/reject tallies.
 
+use dme_obs::catalog::{MetricKind, METRICS};
 use dme_obs::json::{parse, Value};
 use std::process::Command;
 
@@ -166,6 +167,23 @@ fn flow_report_contains_stage_spans_solver_telemetry_and_tallies() {
         "sta/analyze_calls",
     ] {
         assert!(counters.contains_key(name), "counter {name:?} missing");
+    }
+
+    // The catalog (`dmeopt obs ls`) lists every metric the run emitted.
+    for (section, kind) in [
+        ("spans", MetricKind::Span),
+        ("counters", MetricKind::Counter),
+        ("histograms", MetricKind::Histogram),
+        ("records", MetricKind::Record),
+    ] {
+        let emitted = m.get(section).and_then(Value::as_object).expect(section);
+        for name in emitted.keys() {
+            assert!(
+                METRICS.iter().any(|c| c.kind == kind && c.name == name),
+                "{} {name:?} is not a dme_obs::catalog row",
+                kind.name()
+            );
+        }
     }
 
     // Every JSONL event line parses and carries the v1 envelope.
