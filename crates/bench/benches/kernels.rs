@@ -627,27 +627,17 @@ fn bench_perf(c: &mut Criterion) {
         });
     }
 
-    // --- end-to-end MinTiming bisection: cold CG probes vs the new
-    // default (warm-started probes, cached symbolic factorization) ---
+    // --- end-to-end MinTiming: the QCP solve and its min-leakage probe
+    // on the default (Auto) backend ---
     let qcp_tb = Testbench::prepare(&profiles::tiny());
     let qcp_ctx = OptContext::new(&qcp_tb.lib, &qcp_tb.design, &qcp_tb.placement);
-    let qcp_cfg = |warm: bool, backend: NewtonBackend| DmoptConfig {
+    let qcp_cfg = DmoptConfig {
         objective: dmeopt::Objective::MinTiming { xi_uw: 0.0 },
         grid_g_um: 5.0,
-        warm_start: warm,
-        solver: dmeopt::SolverKind::Ipm(IpmSettings {
-            backend,
-            ..IpmSettings::default()
-        }),
         ..DmoptConfig::default()
     };
-    group.bench_function("qcp_mintiming_cold", |b| {
-        let cfg = qcp_cfg(false, NewtonBackend::Cg);
-        b.iter(|| optimize(&qcp_ctx, &cfg).expect("cold qcp"));
-    });
-    group.bench_function("qcp_mintiming_warm", |b| {
-        let cfg = qcp_cfg(true, NewtonBackend::Auto);
-        b.iter(|| optimize(&qcp_ctx, &cfg).expect("warm qcp"));
+    group.bench_function("qcp_mintiming", |b| {
+        b.iter(|| optimize(&qcp_ctx, &qcp_cfg).expect("qcp"));
     });
 
     // --- symbolic phase of the direct backend on the QCP programs of the
@@ -665,13 +655,12 @@ fn bench_perf(c: &mut Criterion) {
     for (tag, cells, seed) in [("1k", 1_000, 10), ("5k", 5_000, 18)] {
         let stb = Testbench::prepare(&profiles::scaling(cells, seed));
         let sctx = OptContext::new(&stb.lib, &stb.design, &stb.placement);
-        let cfg = qcp_cfg(true, NewtonBackend::Auto);
         let sgrid = DoseGrid::with_granularity(
             stb.placement.die_w_um,
             stb.placement.die_h_um,
-            cfg.grid_g_um,
+            qcp_cfg.grid_g_um,
         );
-        let qp = Formulation::build(&sctx, &sgrid, &formulation_params(&sctx, &cfg)).qp;
+        let qp = Formulation::build(&sctx, &sgrid, &formulation_params(&sctx, &qcp_cfg)).qp;
         group.bench_function(format!("symbolic_{tag}").as_str(), |b| {
             b.iter(|| IpmSolver::new(IpmSettings::default()).resolve_backend(&qp));
         });

@@ -17,10 +17,14 @@
 //!   Eq. (5)/(10): `a_r + wire + t_q⁰ + Ap·Ds·d^P + Bp·Ds·d^A ≤ a_q`;
 //! - endpoint capture: `a_r + wire + setup ≤ T`;
 //! - the period bound `T ≤ τ`, Eq. (6)/(11) — its row index is exposed so
-//!   the QCP bisection can retighten τ without rebuilding anything.
+//!   the QCP's min-leakage probe can retighten τ without rebuilding
+//!   anything.
 //!
 //! The objective is the quadratic leakage surrogate of Eq. (2), expressed
 //! per grid cell by accumulating the per-instance `αp`, `βp`, `γp`.
+//! [`Formulation::min_period_program`] turns the same rows into the QCP of
+//! Eqs. (6)/(11): minimize `T` with the leakage surrogate as a convex
+//! quadratic row `ΔLeakage(d) ≤ ξ`.
 //!
 //! # Constraint pruning (optional extension)
 //!
@@ -37,7 +41,7 @@
 
 use crate::context::OptContext;
 use dme_dosemap::{DoseGrid, DoseSensitivity};
-use dme_qp::{CsrMatrix, QuadProgram};
+use dme_qp::{CsrMatrix, QuadProgram, QuadRow};
 
 /// Which layers the dose map modulates.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -70,9 +74,9 @@ pub struct FormulationParams {
     pub tau_ref_ns: f64,
     /// When set, the period bound becomes *elastic*: `T − v ≤ τ` with
     /// `v ≥ 0` penalized at this weight (objective units per ns). The
-    /// QCP bisection uses this so that over-tight probes stay feasible
-    /// and are recognized by `v > 0` instead of by an infeasibility
-    /// certificate.
+    /// QCP's min-leakage probe uses this so that a probe τ below the
+    /// achievable period stays feasible and is recognized by `v > 0`
+    /// instead of by an infeasibility certificate.
     pub elastic_weight: Option<f64>,
     /// When set, adds hold constraints: every flip-flop data pin's
     /// *earliest* arrival must stay above its hold requirement plus this
@@ -124,8 +128,8 @@ pub struct Formulation {
     pub qp: QuadProgram,
     /// Variable layout.
     pub layout: VarLayout,
-    /// Row index of the `T ≤ τ` constraint (mutate `qp.u[tau_row]` to
-    /// re-tighten during bisection).
+    /// Row index of the `T ≤ τ` constraint (mutate `qp.u[tau_row]`, or
+    /// call [`Formulation::set_tau`], to move τ).
     pub tau_row: usize,
     /// Grid cell of each instance.
     pub grid_of_inst: Vec<usize>,
@@ -534,9 +538,41 @@ impl Formulation {
         }
     }
 
-    /// Retightens the clock-period bound to a new τ (bisection probes).
+    /// Retightens the clock-period bound to a new τ.
     pub fn set_tau(&mut self, tau_ns: f64) {
         self.qp.u[self.tau_row] = tau_ns;
+    }
+
+    /// The paper's QCP (Eqs. 6/11) over this formulation's rows:
+    /// minimize `T` subject to every row and the leakage budget
+    /// `½dᵀP_L d + q_Lᵀd ≤ ξ` (nW) as one convex quadratic row, where
+    /// `(P_L, q_L)` is the leakage objective. An elastic variable costs as
+    /// much as `T`, so it stays 0 wherever `T` meets τ. The objective's
+    /// `P` is kept as an all-zero diagonal so the program has the same
+    /// sparsity pattern as the QP, and one solver's symbolic
+    /// factorization serves both.
+    pub fn min_period_program(&self, xi_nw: f64) -> (QuadProgram, QuadRow) {
+        let n = self.layout.num_vars;
+        let mut leak_q = self.qp.q.clone();
+        let mut q = vec![0.0; n];
+        q[self.layout.t_idx] = 1.0;
+        if let Some((v, _)) = self.elastic {
+            leak_q[v] = 0.0;
+            q[v] = 1.0;
+        }
+        let row = QuadRow {
+            p_diag: self.qp.p.diag(),
+            q: leak_q,
+            xi: xi_nw,
+        };
+        let qp = QuadProgram {
+            p: CsrMatrix::diagonal(&vec![0.0; n]),
+            q,
+            a: self.qp.a.clone(),
+            l: self.qp.l.clone(),
+            u: self.qp.u.clone(),
+        };
+        (qp, row)
     }
 
     /// The leakage part of the objective at a solution (the elastic

@@ -11,9 +11,10 @@
 //!   convex formulations are supported — minimize leakage under a timing
 //!   constraint (a QP, Section III-A/B.1 of the paper) and minimize the
 //!   clock period under a leakage constraint (a QCP, Section III-A/B.2,
-//!   solved here by exact bisection over the QP feasibility oracle) —
-//!   on the poly layer alone (gate length) or poly + active layers
-//!   (length + width).
+//!   solved here in one interior-point solve with the leakage budget as
+//!   a convex quadratic row, then one min-leakage solve within 0.2% of
+//!   the optimal period) — on the poly layer alone (gate length) or
+//!   poly + active layers (length + width).
 //! - **dosePl** ([`dosepl()`]): the dose-map-aware placement heuristic of
 //!   the paper's Appendix — cell swapping toward higher-dose regions with
 //!   bounding-box / distance / HPWL / leakage filters, ECO legalization
@@ -56,6 +57,8 @@ pub mod flow;
 mod formulate;
 mod gridindex;
 mod optimize;
+#[cfg(test)]
+mod qcp;
 
 pub use context::{GoldenSummary, OptContext};
 pub use dosepl::{

@@ -4,10 +4,9 @@ use crate::context::{GoldenSummary, OptContext};
 use crate::error::DmoptError;
 use crate::formulate::{Formulation, FormulationParams};
 use dme_dosemap::{DoseGrid, DoseMap, DoseSensitivity};
-use dme_qp::qcp::{bisect_min, Probe};
 use dme_qp::{
-    AdmmSettings, AdmmSolver, IpmSettings, IpmSolver, NewtonBackend, QuadProgram, Solution,
-    SolveStatus,
+    IpmSettings, IpmSolver, NewtonBackend, NopObserver, QuadProgram, QuadRow, Solution,
+    SolveStatus, SolverObserver,
 };
 use dme_sta::{analyze, GeometryAssignment};
 use std::time::{Duration, Instant};
@@ -18,11 +17,9 @@ pub use crate::formulate::LayerChoice as Layers;
 #[derive(Debug, Clone)]
 pub enum SolverKind {
     /// Mehrotra predictor-corrector interior point (default — the right
-    /// tool for timing-chain QPs, like the paper's CPLEX).
+    /// tool for timing-chain QPs and the leakage-budget QCP, like the
+    /// paper's CPLEX).
     Ipm(IpmSettings),
-    /// OSQP-style ADMM (useful for very large instances at loose
-    /// tolerances, and as a cross-check).
-    Admm(AdmmSettings),
 }
 
 impl Default for SolverKind {
@@ -34,10 +31,10 @@ impl Default for SolverKind {
 /// Streams IPM telemetry into the observability registry: one `ipm_iter`
 /// record per Newton iteration (the convergence trajectory — µ, µ_aff,
 /// primal/dual residuals, σ, α), a `qp_backend_decision` record per
-/// backend decision, plus strategy/CG/factorization effort
-/// counters and a per-solve CG iteration histogram. Only useful when
-/// tracing is enabled; shared by the QCP bisection driver and the
-/// `dmeopt qp` subcommand.
+/// backend decision, plus strategy/CG/factorization effort counters,
+/// reduced-precision stall exits and CG iteration-cap hits, and a
+/// per-solve CG iteration histogram. Only useful when tracing is
+/// enabled; shared by [`optimize`] and the `dmeopt qp` subcommand.
 pub struct ObsSolverObserver;
 
 impl dme_qp::SolverObserver for ObsSolverObserver {
@@ -70,6 +67,13 @@ impl dme_qp::SolverObserver for ObsSolverObserver {
         dme_obs::counter_add("qp/cg_solves", 1);
         dme_obs::counter_add("qp/cg_iterations", cg.iterations as u64);
         dme_obs::histogram_record("qp/cg_iters_per_solve", cg.iterations as u64);
+        if cg.capped {
+            dme_obs::counter_add("qp/cg_cap_hits", 1);
+        }
+    }
+
+    fn stall_exit(&mut self, _exit: &dme_qp::StallExit) {
+        dme_obs::counter_add("qp/stall_exits", 1);
     }
 
     fn newton_backend(&mut self, backend: &'static str) {
@@ -129,86 +133,95 @@ fn parse_backend(s: &str) -> Option<NewtonBackend> {
     }
 }
 
-/// One solver instance reused for every QP solve inside a single
-/// [`optimize`] call — all bisection probes and the adaptive guard-band
-/// retry. Holding the instance (rather than rebuilding per solve) is what
-/// lets the IPM's direct backend reuse its cached symbolic factorization
-/// across probes (`set_tau` only moves a bound, never the sparsity
-/// pattern) and lets both solvers warm-start each probe from the previous
-/// probe's optimum.
-struct SolverDriver {
-    kind: DriverKind,
-    warm_start: bool,
-    /// Whether warm-start vectors from a previous solve are loaded.
-    primed: bool,
-    /// Solves that began from a previous probe's solution.
-    warm_hits: u64,
+/// The one solver an [`optimize`] call runs every solve on, and its
+/// effort tallies. Holding one instance lets the direct backend's
+/// symbolic factorization, built on the first solve, serve the later
+/// ones: the QCP and its probe share one sparsity pattern, and the
+/// guard-band retry only moves τ.
+struct Solves {
+    solver: IpmSolver,
+    /// IPM iterations across all solves.
+    iterations: usize,
+    /// Solves made.
+    count: usize,
 }
 
-enum DriverKind {
-    Ipm(IpmSolver),
-    Admm(AdmmSolver),
-}
-
-impl SolverDriver {
-    fn new(kind: &SolverKind, warm_start: bool) -> Self {
-        let kind = match kind {
-            SolverKind::Ipm(st) => {
-                let mut st = st.clone();
-                if let Some(b) = std::env::var("DME_QP_BACKEND")
-                    .ok()
-                    .and_then(|v| parse_backend(&v))
-                {
-                    st.backend = b;
-                }
-                DriverKind::Ipm(IpmSolver::new(st))
-            }
-            SolverKind::Admm(st) => DriverKind::Admm(AdmmSolver::new(st.clone())),
-        };
+impl Solves {
+    /// The configured solver with the `DME_QP_BACKEND` override applied.
+    fn new(kind: &SolverKind) -> Self {
+        let SolverKind::Ipm(st) = kind;
+        let mut st = st.clone();
+        if let Some(b) = std::env::var("DME_QP_BACKEND")
+            .ok()
+            .and_then(|v| parse_backend(&v))
+        {
+            st.backend = b;
+        }
         Self {
-            kind,
-            warm_start,
-            primed: false,
-            warm_hits: 0,
+            solver: IpmSolver::new(st),
+            iterations: 0,
+            count: 0,
         }
     }
 
-    fn solve(&mut self, qp: &QuadProgram) -> Result<Solution, dme_qp::SolveError> {
+    /// One solve, with the quadratic row when given; streams solver
+    /// telemetry while tracing is on.
+    fn run(&mut self, qp: &QuadProgram, row: Option<&QuadRow>) -> Result<Solution, DmoptError> {
         let _span = dme_obs::span("solve");
         dme_obs::counter_add("qp/solves", 1);
-        let warm = self.warm_start && self.primed;
-        if warm {
-            self.warm_hits += 1;
-        }
-        let sol = match &mut self.kind {
-            DriverKind::Ipm(solver) => {
-                if dme_obs::enabled() {
-                    solver.solve_observed(qp, &mut ObsSolverObserver)
-                } else {
-                    solver.solve(qp)
-                }
-            }
-            DriverKind::Admm(solver) => {
-                dme_obs::counter_add("qp/backend_admm", 1);
-                solver.solve(qp)
-            }
+        let obs: &mut dyn SolverObserver = if dme_obs::enabled() {
+            &mut ObsSolverObserver
+        } else {
+            &mut NopObserver
+        };
+        let sol = match row {
+            Some(row) => self.solver.solve_qcp(qp, row, obs),
+            None => self.solver.solve_observed(qp, obs),
         }?;
-        if self.warm_start {
-            // Seed the next probe from this optimum. Bisection only moves
-            // the τ bound, so the previous central path is a good start.
-            match &mut self.kind {
-                DriverKind::Ipm(s) => {
-                    s.warm_start(sol.x.clone(), sol.y.clone());
-                }
-                DriverKind::Admm(s) => {
-                    s.warm_start(sol.x.clone(), sol.y.clone());
-                }
-            }
-            self.primed = true;
+        self.iterations += sol.iterations;
+        self.count += 1;
+        Ok(sol)
+    }
+
+    /// The min-leakage QP at τ.
+    fn min_leakage(
+        &mut self,
+        form: &mut Formulation,
+        tau: f64,
+        nominal_mct: f64,
+    ) -> Result<Solution, DmoptError> {
+        form.set_tau(tau);
+        let sol = self.run(&form.qp, None)?;
+        if sol.status == SolveStatus::PrimalInfeasible {
+            return Err(DmoptError::Infeasible(format!(
+                "no dose map meets T ≤ {tau:.4} ns"
+            )));
         }
+        check_converged("QP", &sol, &form.qp, nominal_mct)?;
         Ok(sol)
     }
 }
+
+/// Rejects a solve that hit the iteration cap with its rows violated by
+/// more than 0.1% of the nominal MCT.
+fn check_converged(
+    what: &str,
+    sol: &Solution,
+    qp: &QuadProgram,
+    nominal_mct: f64,
+) -> Result<(), DmoptError> {
+    let violation = qp.max_violation(&sol.x);
+    if sol.status == SolveStatus::MaxIterations && violation > 1e-3 * nominal_mct {
+        return Err(DmoptError::Solver(dme_qp::SolveError::Numerical(format!(
+            "{what} did not converge: violation {violation:.3e}"
+        ))));
+    }
+    Ok(())
+}
+
+/// Period tolerance of the `MinTiming` min-leakage probe, as a fraction
+/// of the nominal MCT: the probe runs at τ = T* + this·MCT₀.
+const QCP_PROBE_TOL_FRAC: f64 = 0.002;
 
 /// Optimization objective, matching the paper's two problem statements.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -222,7 +235,9 @@ pub enum Objective {
         tau_ns: Option<f64>,
     },
     /// Minimize the clock period subject to `ΔLeakage ≤ ξ` (the QCP of
-    /// Sections III-A.2 / III-B.2), solved by bisection over the QP.
+    /// Sections III-A.2 / III-B.2), solved in one interior-point solve
+    /// with the leakage budget as a quadratic row, then re-solved once
+    /// for the least leakage within 0.2% of the optimal period.
     MinTiming {
         /// Leakage-increase budget ξ, µW (0 = "no leakage increase").
         xi_uw: f64,
@@ -268,12 +283,6 @@ pub struct DmoptConfig {
     pub hold_margin_ns: Option<f64>,
     /// Solver backend and settings.
     pub solver: SolverKind,
-    /// Bisection convergence tolerance as a fraction of the nominal MCT.
-    pub bisect_tol_frac: f64,
-    /// Warm-start each QP solve (bisection probes, guard-band retry) from
-    /// the previous solve's primal/dual optimum. On by default; disable to
-    /// reproduce fully independent cold solves.
-    pub warm_start: bool,
 }
 
 impl Default for DmoptConfig {
@@ -291,8 +300,6 @@ impl Default for DmoptConfig {
             prune: false,
             hold_margin_ns: None,
             solver: SolverKind::default(),
-            bisect_tol_frac: 0.002,
-            warm_start: true,
         }
     }
 }
@@ -312,11 +319,15 @@ pub struct DmoptResult {
     pub golden_after: GoldenSummary,
     /// Surrogate ΔLeakage at the solver optimum, µW.
     pub surrogate_delta_leakage_uw: f64,
-    /// For `MinTiming`: the bisected optimal τ, ns.
+    /// For `MinTiming`: the QCP's optimal period T*, ns. The returned map
+    /// meets T ≤ T* + 0.2% of the nominal MCT when the min-leakage probe
+    /// certified it, T ≤ T* otherwise.
     pub solved_t_ns: Option<f64>,
-    /// Total ADMM iterations across all probes.
+    /// Total IPM iterations across all solves.
     pub iterations: usize,
-    /// Number of QP solves (1 for `MinLeakage`).
+    /// Number of solves: 2 for `MinTiming` (the QCP and its min-leakage
+    /// probe); 1 for `MinLeakage`, 2 when the adaptive guard band
+    /// re-solves.
     pub probes: usize,
     /// Instances that kept arrival variables.
     pub num_kept: usize,
@@ -328,9 +339,9 @@ pub struct DmoptResult {
     pub runtime: Duration,
 }
 
-/// Surrogate (linearized) MCT under uniform dose deltas — used to bound
-/// the QCP bisection bracket from below (`d = U` minimizes every gate
-/// delay, hence the achievable clock period).
+/// Surrogate (linearized) MCT under uniform dose deltas — the QCP's
+/// period floor at `d = U`, which minimizes every gate delay and hence
+/// the achievable clock period.
 pub fn surrogate_mct(ctx: &OptContext<'_>, dp_pct: f64, da_pct: f64, ds: f64) -> f64 {
     let nl = &ctx.design.netlist;
     let n = nl.num_instances();
@@ -379,9 +390,10 @@ pub fn surrogate_mct(ctx: &OptContext<'_>, dp_pct: f64, da_pct: f64, ds: f64) ->
 }
 
 /// The formulation parameters [`optimize`] builds its QP from for `cfg`
-/// on `ctx`: τ and the bisection's lower reference per objective, and the
-/// elastic penalty of the QCP probes. With [`Formulation::build`] on the
-/// configured grid this reproduces the program `optimize` solves.
+/// on `ctx`: τ and the period floor per objective (the floor bounds
+/// pruning), and the elastic penalty of the QCP's min-leakage probe. With
+/// [`Formulation::build`] on the configured grid this reproduces the
+/// program `optimize` solves.
 pub fn formulation_params(ctx: &OptContext<'_>, cfg: &DmoptConfig) -> FormulationParams {
     let ds = cfg.sensitivity.0;
     let nominal_mct = ctx.nominal.mct_ns;
@@ -402,13 +414,18 @@ pub fn formulation_params(ctx: &OptContext<'_>, cfg: &DmoptConfig) -> Formulatio
         }
     };
 
-    // Elastic penalty for QCP probes: violating τ by 0.1% of the nominal
-    // MCT must cost more than the whole achievable leakage swing.
+    // Elastic penalty for the QCP's probe: violating τ by 1% of the
+    // nominal MCT must cost more than the whole achievable leakage swing.
+    // The probe's τ lies within 0.2% of a period the QCP proved feasible,
+    // so nothing needs a steeper penalty, and a steeper one dominates the
+    // cost scaling and leaves the leakage part solved loosely: at 1e3 the
+    // probe missed its leakage check on 12 of 30 flowbench designs
+    // (seeds 2, 3, 11) and on AES-65.
     let leak_swing_nw: f64 = (0..ctx.num_instances())
         .map(|i| (ctx.beta[i] * ds).abs() * (cfg.dose_hi_pct - cfg.dose_lo_pct))
         .sum();
     let elastic_weight = match cfg.objective {
-        Objective::MinTiming { .. } => Some(1e3 * leak_swing_nw.max(1.0) / nominal_mct),
+        Objective::MinTiming { .. } => Some(1e2 * leak_swing_nw.max(1.0) / nominal_mct),
         Objective::MinLeakage { .. } => None,
     };
     FormulationParams {
@@ -425,9 +442,16 @@ pub fn formulation_params(ctx: &OptContext<'_>, cfg: &DmoptConfig) -> Formulatio
     }
 }
 
-/// Runs DMopt: build the formulation, solve it (bisecting for the QCP),
-/// snap the dose maps to characterized library steps, and sign off with
-/// golden analysis.
+/// Runs DMopt: build the formulation, solve it, snap the dose maps to
+/// characterized library steps, and sign off with golden analysis.
+///
+/// `MinTiming` makes two solves. The QCP — minimize `T` under the
+/// leakage budget as a quadratic row — gives the optimal period T*. Its
+/// point sits wherever the budget lets it, up to ΔLeakage = ξ even where
+/// the budget is slack at the period floor, so an elastic min-leakage QP
+/// at τ = T* + 0.2%·MCT₀ then picks the least leakage at that period.
+/// Its map is returned when it passes the feasibility checks (τ met,
+/// budget met, rows met); the QCP's otherwise.
 ///
 /// # Errors
 ///
@@ -468,91 +492,48 @@ pub fn optimize(ctx: &OptContext<'_>, cfg: &DmoptConfig) -> Result<DmoptResult, 
     let num_constraints = form.qp.num_constraints();
     let num_kept = form.num_kept;
 
-    let mut iterations = 0usize;
-    let mut probes = 0usize;
-    let mut driver = SolverDriver::new(&cfg.solver, cfg.warm_start);
-    fn solve_min_leakage(
-        driver: &mut SolverDriver,
-        form: &mut Formulation,
-        tau: f64,
-        nominal_mct: f64,
-        iterations: &mut usize,
-        probes: &mut usize,
-    ) -> Result<Solution, DmoptError> {
-        form.set_tau(tau);
-        let sol = driver.solve(&form.qp)?;
-        *iterations += sol.iterations;
-        *probes += 1;
-        match sol.status {
-            SolveStatus::PrimalInfeasible => Err(DmoptError::Infeasible(format!(
-                "no dose map meets T ≤ {tau:.4} ns"
-            ))),
-            SolveStatus::MaxIterations if form.qp.max_violation(&sol.x) > 1e-3 * nominal_mct => {
-                Err(DmoptError::Solver(dme_qp::SolveError::Numerical(format!(
-                    "QP did not converge: violation {:.3e}",
-                    form.qp.max_violation(&sol.x)
-                ))))
-            }
-            _ => Ok(sol),
-        }
-    }
+    let mut solves = Solves::new(&cfg.solver);
     let (solution, solved_t): (Solution, Option<f64>) = match cfg.objective {
-        Objective::MinLeakage { .. } => (
-            solve_min_leakage(
-                &mut driver,
-                &mut form,
-                tau_init,
-                nominal_mct,
-                &mut iterations,
-                &mut probes,
-            )?,
-            None,
-        ),
+        Objective::MinLeakage { .. } => {
+            (solves.min_leakage(&mut form, tau_init, nominal_mct)?, None)
+        }
         Objective::MinTiming { xi_uw } => {
             let xi_nw = xi_uw * 1000.0;
             let leak_scale_nw = (ctx.nominal.total_leakage_uw * 1000.0).abs().max(1.0);
             let tol_nw = 1e-3 * leak_scale_nw;
-            let tol_t = cfg.bisect_tol_frac * nominal_mct;
-            let driver = &mut driver;
-            let result = bisect_min(tau_ref, nominal_mct, tol_t, |tau| {
-                form.set_tau(tau);
-                let warm = driver.warm_start && driver.primed;
-                let sol = driver.solve(&form.qp)?;
-                iterations += sol.iterations;
-                probes += 1;
-                // Elastic probe: τ is achievable iff the elastic violation
-                // collapses and the leakage part of the objective meets ξ.
-                let feasible = form.elastic_violation(&sol.x) <= 1e-4 * nominal_mct
-                    && form.leakage_objective(&sol.x) <= xi_nw + tol_nw
-                    && form.qp.max_violation(&sol.x) <= 1e-3 * nominal_mct;
-                if dme_obs::enabled() {
-                    dme_obs::record(
-                        "qcp_probe",
-                        &[
-                            ("probe", probes as f64),
-                            ("tau_ns", tau),
-                            ("feasible", if feasible { 1.0 } else { 0.0 }),
-                            ("iterations", sol.iterations as f64),
-                            ("warm", if warm { 1.0 } else { 0.0 }),
-                        ],
-                    );
-                }
-                if feasible {
-                    Ok(Probe::Feasible(sol))
-                } else {
-                    Ok(Probe::Infeasible)
-                }
-            })
-            .map_err(|e| match e {
-                dme_qp::SolveError::Numerical(msg) if msg.contains("upper bound") => {
-                    DmoptError::Infeasible(format!(
-                        "leakage budget ξ = {xi_uw} µW is infeasible even at nominal timing"
-                    ))
-                }
-                other => DmoptError::Solver(other),
-            })?;
-            let t = result.t;
-            (result.witness, Some(t))
+            let tol_t = QCP_PROBE_TOL_FRAC * nominal_mct;
+            let (qcp, budget) = form.min_period_program(xi_nw);
+            let sol = solves.run(&qcp, Some(&budget))?;
+            // No interior point certifies infeasibility, so a QCP point
+            // over the budget — converged or not — is read as the budget
+            // being out of reach.
+            if budget.value(&sol.x) > xi_nw + tol_nw {
+                return Err(DmoptError::Infeasible(format!(
+                    "no dose map meets the leakage budget ξ = {xi_uw} µW"
+                )));
+            }
+            check_converged("QCP", &sol, &qcp, nominal_mct)?;
+            let t_star = sol.x[form.layout.t_idx];
+            // Elastic probe: the least leakage within tol_t of T*.
+            form.set_tau(t_star + tol_t);
+            let probe = solves.run(&form.qp, None)?;
+            let certified = form.elastic_violation(&probe.x) <= 1e-4 * nominal_mct
+                && form.leakage_objective(&probe.x) <= xi_nw + tol_nw
+                && form.qp.max_violation(&probe.x) <= 1e-3 * nominal_mct;
+            if dme_obs::enabled() {
+                dme_obs::record(
+                    "qcp_solve",
+                    &[
+                        ("t_ns", t_star),
+                        ("tau_ref_ns", tau_ref),
+                        ("lambda", sol.row_multiplier),
+                        ("qcp_iterations", sol.iterations as f64),
+                        ("probe_iterations", probe.iterations as f64),
+                        ("certified", f64::from(u8::from(certified))),
+                    ],
+                );
+            }
+            (if certified { probe } else { sol }, Some(t_star))
         }
     };
 
@@ -597,21 +578,13 @@ pub fn optimize(ctx: &OptContext<'_>, cfg: &DmoptConfig) -> Result<DmoptResult, 
         let gap = (after.mct_ns - nominal_mct) / nominal_mct;
         if gap > 1e-3 {
             let tau2 = nominal_mct * (1.0 - gap - 0.002);
-            let retry = solve_min_leakage(
-                &mut driver,
-                &mut form,
-                tau2,
-                nominal_mct,
-                &mut iterations,
-                &mut probes,
-            )?;
+            let retry = solves.min_leakage(&mut form, tau2, nominal_mct)?;
             (poly_map, active_map, assignment, after) = extract(&form, &retry.x);
         }
     }
     let surrogate_delta_leakage_uw = ctx.surrogate_leakage_delta_nw(&assignment) / 1000.0;
-    dme_obs::counter_add("dmopt/qp_probes", probes as u64);
-    dme_obs::counter_add("dmopt/solver_iterations", iterations as u64);
-    dme_obs::counter_add("dmopt/warm_start_hits", driver.warm_hits);
+    dme_obs::counter_add("dmopt/qp_probes", solves.count as u64);
+    dme_obs::counter_add("dmopt/solver_iterations", solves.iterations as u64);
     if dme_obs::enabled() {
         let before = ctx.nominal_summary();
         dme_obs::set_qor("dmopt/mct_ns", after.mct_ns);
@@ -631,8 +604,8 @@ pub fn optimize(ctx: &OptContext<'_>, cfg: &DmoptConfig) -> Result<DmoptResult, 
         golden_after: GoldenSummary::from_report(&after),
         surrogate_delta_leakage_uw,
         solved_t_ns: solved_t,
-        iterations,
-        probes,
+        iterations: solves.iterations,
+        probes: solves.count,
         num_kept,
         num_vars,
         num_constraints,
@@ -700,7 +673,7 @@ mod tests {
         };
         let r = optimize(&ctx, &cfg).expect("optimize");
         assert!(r.solved_t_ns.is_some());
-        assert!(r.probes > 2, "bisection should probe repeatedly");
+        assert_eq!(r.probes, 2, "the QCP and its min-leakage probe");
         assert!(
             r.golden_after.mct_ns < r.golden_before.mct_ns,
             "MCT {} -> {}",
@@ -852,74 +825,141 @@ mod tests {
         assert!(held.golden_after.mct_ns < held.golden_before.mct_ns);
     }
 
-    #[test]
-    fn warm_started_bisection_matches_cold_within_tolerance() {
-        let (lib, d, p) = setup();
-        let ctx = OptContext::new(&lib, &d, &p);
-        let base = DmoptConfig {
-            objective: Objective::MinTiming { xi_uw: 0.0 },
+    /// Runs `MinTiming { ξ }` and checks it against the bisection over
+    /// the same programs: two solves, T* at or below the bisected τ, the
+    /// budget met up to snapping, the map within its box and smoothness,
+    /// and an exact repeat on one thread.
+    fn check_qcp_against_bisection(ctx: &OptContext<'_>, xi_uw: f64) -> DmoptResult {
+        let cfg = DmoptConfig {
+            objective: Objective::MinTiming { xi_uw },
             grid_g_um: 5.0,
             ..DmoptConfig::default()
         };
-        let cold = optimize(
+        let r = optimize(ctx, &cfg).expect("optimize");
+        assert_eq!(r.probes, 2, "the QCP and its min-leakage probe");
+        let t_star = r.solved_t_ns.expect("MinTiming reports T*");
+
+        let nominal = ctx.nominal.mct_ns;
+        let params = formulation_params(ctx, &cfg);
+        let grid = DoseGrid::with_granularity(
+            ctx.placement.die_w_um,
+            ctx.placement.die_h_um,
+            cfg.grid_g_um,
+        );
+        let mut form = Formulation::build(ctx, &grid, &params);
+        let leak_nw = (ctx.nominal.total_leakage_uw * 1000.0).abs().max(1.0);
+        let bisect = crate::qcp::bisect_period(
+            &mut form,
+            xi_uw * 1000.0,
+            1e-3 * leak_nw,
+            params.tau_ref_ns,
+            nominal,
+            QCP_PROBE_TOL_FRAC * nominal,
+        )
+        .expect("bisection oracle");
+        // The oracle certifies a probe whose period overshoots τ by up to
+        // its elastic cutoff, 1e-4·MCT₀, and whose leakage overshoots ξ
+        // by up to its tolerance, so its τ may sit that far below T*.
+        assert!(
+            t_star <= bisect.t + 1e-4 * nominal,
+            "QCP T* {t_star} above the bisected τ {}",
+            bisect.t
+        );
+        assert!(
+            t_star >= params.tau_ref_ns - 1e-9,
+            "T* {t_star} below the period floor"
+        );
+
+        // The budget holds on the snapped map up to the snapping of each
+        // dose to its 0.5% library step (1% of the nominal leakage).
+        let tol_uw = 1e-2 * ctx.nominal.total_leakage_uw;
+        assert!(
+            r.surrogate_delta_leakage_uw <= xi_uw + tol_uw,
+            "ΔL {} µW over ξ {xi_uw} + {tol_uw}",
+            r.surrogate_delta_leakage_uw
+        );
+        r.poly_map
+            .check(
+                cfg.dose_lo_pct,
+                cfg.dose_hi_pct,
+                cfg.smoothness_pct + cfg.snap_step_pct,
+            )
+            .expect("box and smoothness");
+
+        dme_par::set_force_serial(true);
+        let serial = optimize(ctx, &cfg);
+        dme_par::set_force_serial(false);
+        let serial = serial.expect("serial optimize");
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&serial.poly_map.dose_pct), bits(&r.poly_map.dose_pct));
+        assert_eq!(serial.solved_t_ns.map(f64::to_bits), Some(t_star.to_bits()));
+        assert_eq!(
+            serial.golden_after.mct_ns.to_bits(),
+            r.golden_after.mct_ns.to_bits()
+        );
+        assert_eq!(serial.iterations, r.iterations);
+        r
+    }
+
+    #[test]
+    fn qcp_matches_bisection_where_the_budget_binds() {
+        let (lib, d, p) = setup();
+        let ctx = OptContext::new(&lib, &d, &p);
+        let r = check_qcp_against_bisection(&ctx, 0.0);
+        let t_star = r.solved_t_ns.unwrap();
+        // At ξ = 0 the period floor is out of reach: T* sits above it.
+        let floor = formulation_params(
             &ctx,
             &DmoptConfig {
-                warm_start: false,
-                ..base.clone()
+                objective: Objective::MinTiming { xi_uw: 0.0 },
+                ..DmoptConfig::default()
             },
         )
-        .expect("cold");
-        let warm = optimize(&ctx, &base).expect("warm");
-        // Warm starting changes the solver's path, not the answer. The QP
-        // optimum is not unique in dose cells that carry no objective
-        // weight, so individual cells may quantize a library step or two
-        // away (the basic path-following strategy, forced by the CI
-        // DME_QP_IPM=basic leg, wanders further in degenerate cells than
-        // Mehrotra does) — the signed-off QoR below is the real gate.
-        assert_eq!(cold.poly_map.dose_pct.len(), warm.poly_map.dose_pct.len());
-        let step = base.snap_step_pct;
-        for (i, (c, w)) in cold
-            .poly_map
-            .dose_pct
-            .iter()
-            .zip(&warm.poly_map.dose_pct)
-            .enumerate()
-        {
-            assert!(
-                (c - w).abs() <= 2.0 * step + 1e-12,
-                "grid cell {i}: cold {c} vs warm {w}"
-            );
-        }
-        assert_eq!(cold.probes, warm.probes, "same bisection trajectory");
-        let t_cold = cold.solved_t_ns.expect("cold tau");
-        let t_warm = warm.solved_t_ns.expect("warm tau");
-        // Probes near the feasibility threshold are marginal — the elastic
-        // violation sits at its classification cutoff, so the different
-        // interior paths (cold runs the Mehrotra starting-point heuristic
-        // every probe, warm seeds from the previous witness) may flip one
-        // late probe. Bisection still guarantees each tau within tol_t of
-        // the true threshold, so the two agree to two bracket widths.
-        let tol_t = base.bisect_tol_frac * cold.golden_before.mct_ns;
+        .tau_ref_ns;
+        assert!(t_star > floor + 1e-6, "T* {t_star} at the floor {floor}");
+        assert!(r.golden_after.mct_ns < r.golden_before.mct_ns);
+    }
+
+    #[test]
+    fn qcp_matches_bisection_where_the_budget_is_slack() {
+        // A 1000-cell design whose period floor is reachable within
+        // ξ = 0: T* is the floor, and the QCP point sits anywhere up to
+        // ΔL = ξ until the min-leakage probe picks the least leakage.
+        let lib = Library::standard(Technology::n65());
+        let d = gen::generate(&profiles::scaling(1000, 10), &lib);
+        let p = dme_placement::place(&d, &lib);
+        let ctx = OptContext::new(&lib, &d, &p);
+        let r = check_qcp_against_bisection(&ctx, 0.0);
+        let floor = formulation_params(
+            &ctx,
+            &DmoptConfig {
+                objective: Objective::MinTiming { xi_uw: 0.0 },
+                ..DmoptConfig::default()
+            },
+        )
+        .tau_ref_ns;
+        let t_star = r.solved_t_ns.unwrap();
         assert!(
-            (t_cold - t_warm).abs() <= 2.0 * tol_t + 1e-12,
-            "bisected tau: cold {t_cold} vs warm {t_warm} (tol {tol_t})"
+            t_star - floor <= 1e-6 * floor,
+            "T* {t_star} above the floor {floor}"
         );
-        // The signed-off MCT tracks the bisected tau (two bracket widths
-        // apart above, ~0.4%) plus up to one snap step's quantization in a
-        // critical-path cell, so the QoR tolerance must cover both.
-        assert!(
-            (cold.golden_after.mct_ns - warm.golden_after.mct_ns).abs()
-                <= 5e-3 * cold.golden_after.mct_ns,
-            "mct: cold {} vs warm {}",
-            cold.golden_after.mct_ns,
-            warm.golden_after.mct_ns
-        );
-        assert!(
-            warm.iterations <= cold.iterations,
-            "warm {} vs cold {} total IPM iterations",
-            warm.iterations,
-            cold.iterations
-        );
+        assert!(r.golden_after.mct_ns < r.golden_before.mct_ns);
+    }
+
+    #[test]
+    fn unreachable_leakage_budget_is_infeasible() {
+        // No dose map cuts a 4 µW design's leakage by 1 mW.
+        let (lib, d, p) = setup();
+        let ctx = OptContext::new(&lib, &d, &p);
+        let cfg = DmoptConfig {
+            objective: Objective::MinTiming { xi_uw: -1000.0 },
+            grid_g_um: 5.0,
+            ..DmoptConfig::default()
+        };
+        assert!(matches!(
+            optimize(&ctx, &cfg),
+            Err(DmoptError::Infeasible(_))
+        ));
     }
 
     #[test]

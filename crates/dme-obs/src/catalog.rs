@@ -81,14 +81,13 @@ const fn s(name: &'static str, desc: &'static str) -> MetricInfo {
 /// within each group.
 pub const METRICS: &[MetricInfo] = &[
     // Counters.
-    c("dmopt/qp_probes", "QCP bisection probes solved"),
     c(
-        "dmopt/solver_iterations",
-        "IPM Newton iterations summed over all probes",
+        "dmopt/qp_probes",
+        "solves per DMopt run: the QCP and its min-leakage probe, or the QP and its guard-band retry",
     ),
     c(
-        "dmopt/warm_start_hits",
-        "QCP probes warm-started from the previous solution",
+        "dmopt/solver_iterations",
+        "IPM Newton iterations summed over all solves",
     ),
     c(
         "dosepl/accepted_provisional",
@@ -170,7 +169,6 @@ pub const METRICS: &[MetricInfo] = &[
         "dosepl/undo_evals_avoided",
         "gate re-evaluations avoided by STA undo replay",
     ),
-    c("qp/backend_admm", "solves taken by the ADMM backend"),
     c(
         "qp/backend_cg",
         "Newton systems solved by conjugate gradient",
@@ -178,6 +176,10 @@ pub const METRICS: &[MetricInfo] = &[
     c(
         "qp/backend_direct",
         "Newton systems solved by the sparse direct backend",
+    ),
+    c(
+        "qp/cg_cap_hits",
+        "CG Newton solves stopped at the iteration cap short of their tolerance",
     ),
     c("qp/cg_iterations", "total CG iterations"),
     c("qp/cg_solves", "CG solve calls"),
@@ -189,6 +191,10 @@ pub const METRICS: &[MetricInfo] = &[
     ),
     c("qp/refactor_ns", "wall time spent refactorizing, ns"),
     c("qp/solves", "QP solve entries"),
+    c(
+        "qp/stall_exits",
+        "solves ended by a stall exit and accepted at reduced precision",
+    ),
     c(
         "qp/strategy_basic",
         "IPM solves run by the basic path-following strategy",
@@ -243,8 +249,9 @@ pub const METRICS: &[MetricInfo] = &[
         "per-Newton-iteration row: iter, mu, mu_aff, rp_inf, rd_inf, sigma, alpha, ...",
     ),
     r(
-        "qcp_probe",
-        "per-bisection-probe row: probe, tau_ns, feasible, iterations, warm",
+        "qcp_solve",
+        "per-MinTiming row: t_ns (QCP optimum T*), tau_ref_ns (period floor), lambda \
+         (leakage-row multiplier, ns/nW), qcp_iterations, probe_iterations, certified",
     ),
     r(
         "qp_backend_decision",

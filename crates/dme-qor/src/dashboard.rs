@@ -164,35 +164,36 @@ fn ipm_convergence(input: &DashboardInput) -> String {
     }
 }
 
-fn qcp_probe_panel(input: &DashboardInput) -> String {
+fn qcp_solve_panel(input: &DashboardInput) -> String {
     let Some(rows) = input
         .manifest
         .and_then(|m| m.get("records"))
-        .and_then(|r| r.get("qcp_probe"))
+        .and_then(|r| r.get("qcp_solve"))
         .and_then(|r| r.get("rows"))
         .and_then(Value::as_array)
     else {
-        return "<p class=\"muted\">no QCP probe telemetry (MinTiming runs with tracing \
-                record one row per bisection probe)</p>"
+        return "<p class=\"muted\">no QCP telemetry (MinTiming runs with tracing record \
+                one row per solve)</p>"
             .to_string();
     };
-    let iters: Vec<f64> = rows
-        .iter()
-        .filter_map(|r| r.get("iterations").and_then(Value::as_f64))
-        .collect();
-    let flag = |key: &str| {
-        rows.iter()
-            .filter(|r| r.get(key).and_then(Value::as_f64).unwrap_or(0.0) > 0.5)
-            .count()
-    };
-    let warm = flag("warm");
-    let feasible = flag("feasible");
-    let mut body = format!(
-        "<p>{} bisection probes — {warm} warm-started, {feasible} feasible. \
-         IPM iterations per probe (warm starts should flatten the tail):</p>",
-        rows.len()
+    let mut body = String::from(
+        "<table><tr><th>T* (ns)</th><th>floor (ns)</th><th>λ (ns/nW)</th>\
+         <th>QCP iterations</th><th>probe iterations</th><th>probe certified</th></tr>",
     );
-    body.push_str(&sparkline(&iters, 480, 60));
+    for row in rows {
+        let v = |key: &str| row.get(key).and_then(Value::as_f64).unwrap_or(f64::NAN);
+        body.push_str(&format!(
+            "<tr><td>{:.5}</td><td>{:.5}</td><td>{:.3e}</td><td>{:.0}</td><td>{:.0}</td>\
+             <td>{}</td></tr>",
+            v("t_ns"),
+            v("tau_ref_ns"),
+            v("lambda"),
+            v("qcp_iterations"),
+            v("probe_iterations"),
+            if v("certified") > 0.5 { "yes" } else { "no" }
+        ));
+    }
+    body.push_str("</table>");
     body
 }
 
@@ -492,7 +493,7 @@ pub fn render(input: &DashboardInput) -> String {
             &stage_breakdown(latest),
         );
         section(&mut out, "IPM convergence", &ipm_convergence(input));
-        section(&mut out, "QCP probe warm starts", &qcp_probe_panel(input));
+        section(&mut out, "QCP solve", &qcp_solve_panel(input));
         section(
             &mut out,
             "dosePl swap-filter tallies",
@@ -548,10 +549,9 @@ mod tests {
         let history = vec![rec_with_everything(), rec_with_everything()];
         let manifest = json::parse(concat!(
             "{\"records\":{\"ipm_iter\":{\"rows\":[{\"mu\":1.0},{\"mu\":0.1},{\"mu\":0.001}]},",
-            "\"qcp_probe\":{\"rows\":[",
-            "{\"probe\":1,\"tau_ns\":1.9,\"feasible\":1,\"iterations\":14,\"warm\":0},",
-            "{\"probe\":2,\"tau_ns\":1.7,\"feasible\":0,\"iterations\":9,\"warm\":1},",
-            "{\"probe\":3,\"tau_ns\":1.8,\"feasible\":1,\"iterations\":7,\"warm\":1}]}},",
+            "\"qcp_solve\":{\"rows\":[{\"t_ns\":1.95494,\"tau_ref_ns\":1.91,",
+            "\"lambda\":2.5e-6,\"qcp_iterations\":25,\"probe_iterations\":21,",
+            "\"certified\":1}]}},",
             "\"profile\":{\"alloc_tracking\":true,\"nodes\":{",
             "\"flow\":{\"calls\":1,\"total_ns\":20000000,\"self_ns\":5000000,",
             "\"max_ns\":20000000,\"p50_ns\":20000000,\"p95_ns\":20000000,",
@@ -590,8 +590,9 @@ mod tests {
         for needle in [
             "Per-stage time breakdown",
             "IPM convergence",
-            "QCP probe warm starts",
-            "3 bisection probes — 2 warm-started, 2 feasible",
+            "QCP solve",
+            "<td>1.95494</td><td>1.91000</td><td>2.500e-6</td><td>25</td><td>21</td>",
+            "<td>yes</td>",
             "dosePl swap-filter tallies",
             "QoR trends",
             "Profile flamegraph",

@@ -81,8 +81,12 @@ pub struct Solution {
     pub iterations: usize,
     /// Final primal residual `‖Ax − z‖∞` (unscaled).
     pub primal_residual: f64,
-    /// Final dual residual `‖Px + q + Aᵀy‖∞` (unscaled).
+    /// Final dual residual `‖Px + q + Aᵀy‖∞` (unscaled; the IPM adds the
+    /// quadratic row's `λ·∇c(x)`).
     pub dual_residual: f64,
+    /// Multiplier λ ≥ 0 of the convex quadratic row of
+    /// [`crate::IpmSolver::solve_qcp`] (0 without one).
+    pub row_multiplier: f64,
 }
 
 /// OSQP-style ADMM solver for [`QuadProgram`]s.
@@ -312,6 +316,7 @@ impl AdmmSolver {
             iterations,
             primal_residual: prim_res,
             dual_residual: dual_res,
+            row_multiplier: 0.0,
         })
     }
 }

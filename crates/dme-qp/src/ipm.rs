@@ -26,17 +26,29 @@
 //! Rows with `l = u` (equalities) are handled by clamping the barrier
 //! diagonal, which penalizes them stiffly; rows with both bounds infinite
 //! are inert.
+//!
+//! [`IpmSolver::solve_qcp`] adds one convex quadratic row
+//! `c(x) = ½xᵀdiag(p_c)x + q_cᵀx ≤ ξ` with the standard primal-dual
+//! treatment of a convex constraint (LOQO: Vanderbei & Shanno, Comput.
+//! Optim. Appl. 13, 1999): the row is carried as one more row whose slack
+//! and multiplier λ join the barrier state, whose coefficients are its
+//! gradient `g = p_c⊙x + q_c` at the iterate, and whose curvature adds
+//! `λ·diag(p_c)` to the Newton matrix. Because the row is curved, a
+//! Newton step overshoots it by `½·ΔxᵀP_cΔx`; the Mehrotra corrector
+//! aims the row's slack at the value the affine step's curvature
+//! predicts, the second-order correction of the complementarity products
+//! carried over to the row.
 
 use crate::admm::{Solution, SolveStatus};
 use crate::ldl::{Analysis, DirectSolver};
 use crate::observer::{
-    BackendDecision, CgSolve, DecisionReason, IpmIteration, NopObserver, SolverObserver,
+    BackendDecision, CgSolve, DecisionReason, IpmIteration, NopObserver, SolverObserver, StallExit,
 };
 use crate::strategies::{
     AugmentedSystem, CenteringContext, CondensedSystem, FixedCentering, FractionToBoundary,
-    IpmStrategy, LineSearch, MehrotraCentering, MuUpdate, RowView,
+    IpmStrategy, LineSearch, MehrotraCentering, MuUpdate, RowTerms, RowView,
 };
-use crate::{QuadProgram, SolveError};
+use crate::{QuadProgram, QuadRow, SolveError};
 use dme_par::vecops;
 use std::cell::RefCell;
 
@@ -138,8 +150,8 @@ const DIRECT_WORK_LIMIT: f64 = 600.0;
 const CALIBRATION_CG_ITERS: f64 = 27.0;
 
 /// Per-structure cache for the direct backend, validated by a pattern
-/// fingerprint so one solver instance can be reused across bisection
-/// probes (`set_tau` only moves bounds, never the sparsity).
+/// fingerprint so one solver instance can be reused across solves whose
+/// programs differ only in values and bounds.
 #[derive(Debug, Clone, Default)]
 enum DirectCache {
     /// No structure seen yet.
@@ -161,15 +173,13 @@ enum DirectCache {
 #[derive(Debug, Clone, Default)]
 pub struct IpmSolver {
     settings: IpmSettings,
-    /// Warm-start point `(x, y)` in the *unscaled* problem space, carried
-    /// across solves until replaced (parity with `AdmmSolver`).
-    warm: Option<(Vec<f64>, Vec<f64>)>,
     /// Direct-backend cache; interior-mutable so `solve(&self)` keeps its
     /// signature while the symbolic factorization persists across calls.
     direct: RefCell<DirectCache>,
 }
 
-/// Barrier state per constraint row.
+/// Barrier state per constraint row (the quadratic row, when present,
+/// is the last one).
 struct Rows {
     /// Finite lower bound flag.
     has_l: Vec<bool>,
@@ -188,19 +198,8 @@ impl IpmSolver {
     pub fn new(settings: IpmSettings) -> Self {
         Self {
             settings,
-            warm: None,
             direct: RefCell::new(DirectCache::Empty),
         }
-    }
-
-    /// Provides a warm-start point (in the original, unscaled problem
-    /// space) for the next solves — typically the solution of an adjacent
-    /// bisection probe. The point seeds the primal iterate, the row
-    /// slacks, and the barrier multipliers; it persists until replaced.
-    /// Mirrors [`crate::AdmmSolver::warm_start`].
-    pub fn warm_start(&mut self, x: Vec<f64>, y: Vec<f64>) -> &mut Self {
-        self.warm = Some((x, y));
-        self
     }
 
     /// Solves the program.
@@ -224,6 +223,49 @@ impl IpmSolver {
         qp: &QuadProgram,
         obs: &mut dyn SolverObserver,
     ) -> Result<Solution, SolveError> {
+        self.solve_row(qp, None, obs)
+    }
+
+    /// Solves the program with one more constraint, the convex quadratic
+    /// row `½xᵀdiag(p)x + qᵀx ≤ ξ` of `row`, streaming telemetry to `obs`.
+    /// The row's multiplier is [`Solution::row_multiplier`]; its
+    /// violation counts in [`Solution::primal_residual`]. `row.xi = +∞`
+    /// solves the plain program.
+    ///
+    /// # Errors
+    ///
+    /// [`SolveError::Dimension`] when the row's vectors are not of length
+    /// `n`, [`SolveError::Numerical`] when its Hessian has a negative or
+    /// non-finite entry or ξ is NaN, plus the failure modes of
+    /// [`IpmSolver::solve`].
+    pub fn solve_qcp(
+        &self,
+        qp: &QuadProgram,
+        row: &QuadRow,
+        obs: &mut dyn SolverObserver,
+    ) -> Result<Solution, SolveError> {
+        let n = qp.num_vars();
+        if row.p_diag.len() != n || row.q.len() != n {
+            return Err(SolveError::Dimension(format!(
+                "quadratic row has lengths {}/{}, expected {n}",
+                row.p_diag.len(),
+                row.q.len()
+            )));
+        }
+        if row.xi.is_nan() || row.p_diag.iter().any(|&v| !(v >= 0.0 && v.is_finite())) {
+            return Err(SolveError::Numerical(
+                "quadratic row is not convex (negative or non-finite Hessian, or NaN bound)".into(),
+            ));
+        }
+        self.solve_row(qp, (row.xi < f64::INFINITY).then_some(row), obs)
+    }
+
+    fn solve_row(
+        &self,
+        qp: &QuadProgram,
+        row: Option<&QuadRow>,
+        obs: &mut dyn SolverObserver,
+    ) -> Result<Solution, SolveError> {
         let _span = dme_obs::span("ipm");
         // Ruiz equilibration: mixed row/column units (ns-scale timing rows
         // against %-scale dose rows) otherwise stall the dual residual.
@@ -237,20 +279,31 @@ impl IpmSolver {
             l: (0..m).map(|i| scale.e[i] * qp.l[i]).collect(),
             u: (0..m).map(|i| scale.e[i] * qp.u[i]).collect(),
         };
-        // Map the warm-start point into the scaled space (the inverse of
-        // the un-scaling applied to the solution below). A point with the
-        // wrong dimensions is silently ignored.
-        let warm_scaled = self.warm.as_ref().and_then(|(wx, wy)| {
-            if wx.len() != n || wy.len() != m {
-                return None;
-            }
-            let x: Vec<f64> = (0..n).map(|j| wx[j] / scale.d[j]).collect();
-            let y: Vec<f64> = (0..m).map(|i| wy[i] * scale.cost / scale.e[i]).collect();
-            (x.iter().chain(y.iter()).all(|v| v.is_finite())).then_some((x, y))
+        // The quadratic row in the scaled variables, normalized so its
+        // largest Hessian or gradient coefficient is 1.
+        let scaled_row = row.map(|r| {
+            let p: Vec<f64> = (0..n)
+                .map(|j| scale.d[j] * scale.d[j] * r.p_diag[j])
+                .collect();
+            let q: Vec<f64> = (0..n).map(|j| scale.d[j] * r.q[j]).collect();
+            let e = inf_norm(&p)
+                .max(inf_norm(&q))
+                .max(1e-300)
+                .recip()
+                .clamp(1e-9, 1e9);
+            let row = QuadRow {
+                p_diag: p.iter().map(|v| e * v).collect(),
+                q: q.iter().map(|v| e * v).collect(),
+                xi: e * r.xi,
+            };
+            (row, e)
         });
-        let mut sol = self.solve_scaled(&scaled, warm_scaled, obs)?;
+        let mut sol = self.solve_scaled(&scaled, scaled_row.as_ref().map(|(r, _)| r), obs)?;
         for j in 0..n {
             sol.x[j] *= scale.d[j];
+        }
+        if let Some((_, e)) = scaled_row {
+            sol.row_multiplier = sol.y.pop().unwrap_or(0.0) * e / scale.cost;
         }
         for i in 0..m {
             sol.y[i] *= scale.e[i] / scale.cost;
@@ -258,11 +311,15 @@ impl IpmSolver {
         sol.objective = qp.objective(&sol.x);
         // Residuals in unscaled space.
         let px = qp.p.mul_vec(&sol.x);
-        let aty = qp.a.mul_transpose_vec(&sol.y);
+        let mut aty = qp.a.mul_transpose_vec(&sol.y);
+        sol.primal_residual = qp.max_violation(&sol.x);
+        if let Some(r) = row {
+            vecops::axpy(sol.row_multiplier, &r.gradient(&sol.x), &mut aty);
+            sol.primal_residual = sol.primal_residual.max(r.value(&sol.x) - r.xi);
+        }
         sol.dual_residual = (0..n)
             .map(|j| (px[j] + qp.q[j] + aty[j]).abs())
             .fold(0.0f64, f64::max);
-        sol.primal_residual = qp.max_violation(&sol.x);
         Ok(sol)
     }
 
@@ -371,7 +428,7 @@ impl IpmSolver {
     fn solve_scaled(
         &self,
         qp: &QuadProgram,
-        warm: Option<(Vec<f64>, Vec<f64>)>,
+        row: Option<&QuadRow>,
         obs: &mut dyn SolverObserver,
     ) -> Result<Solution, SolveError> {
         let st = &self.settings;
@@ -380,6 +437,17 @@ impl IpmSolver {
         let p = &qp.p;
         let a = &qp.a;
         let q = &qp.q;
+        // Barrier rows: the m linear rows, then the quadratic row (if
+        // any) as row `m` with activity c(x), bounds (−∞, ξ] and the
+        // gradient at the iterate as its coefficients.
+        let mr = m + usize::from(row.is_some());
+        let activity = |x: &[f64]| {
+            let mut ax = a.mul_vec(x);
+            if let Some(r) = row {
+                ax.push(r.value(x));
+            }
+            ax
+        };
 
         // Strategy seams: the centering rule decides whether an affine
         // predictor pass runs; the line search maps directions to steps.
@@ -401,6 +469,10 @@ impl IpmSolver {
         let gap_min = 1e-8;
         let mut l = qp.l.clone();
         let mut u = qp.u.clone();
+        if let Some(r) = row {
+            l.push(f64::NEG_INFINITY);
+            u.push(r.xi);
+        }
         for i in 0..m {
             if u[i] - l[i] < gap_min && u[i].is_finite() {
                 let mid = 0.5 * (u[i] + l[i]);
@@ -412,9 +484,9 @@ impl IpmSolver {
         let mut rows = Rows {
             has_l: l.iter().map(|v| v.is_finite()).collect(),
             has_u: u.iter().map(|v| v.is_finite()).collect(),
-            s: vec![0.0; m],
-            zl: vec![0.0; m],
-            zu: vec![0.0; m],
+            s: vec![0.0; mr],
+            zl: vec![0.0; mr],
+            zu: vec![0.0; mr],
         };
 
         let q_norm = inf_norm(q).max(1.0);
@@ -438,30 +510,22 @@ impl IpmSolver {
         let mut sys = CondensedSystem::new(p, a, direct, st.cg_max_iter);
 
         // Scratch buffers.
-        let mut d = vec![0.0f64; m];
-        let mut g = vec![0.0f64; m];
+        let mut d = vec![0.0f64; mr];
+        let mut g = vec![0.0f64; mr];
         let mut dx = vec![0.0f64; n];
 
         // --- initialization ---
-        // Cold start: the Mehrotra starting-point heuristic — one loose
-        // Newton solve of min ½xᵀPx + qᵀx + ½‖Ax − t‖² pulling each
-        // bounded row toward a well-centered target `t` (the same
-        // condensed system with unit barrier weights, so the direct
-        // path reuses its symbolic factorization), then slacks clamped
-        // well inside the bounds and unit one-sided multipliers.
-        // Warm start: seed x from the caller's point, keep the
-        // slacks only a sliver inside the boundary (the point is
-        // expected near-optimal, where active constraints sit *on* the
-        // boundary), and split the warm dual row-multipliers into the
-        // two one-sided barrier multipliers with a small positivity
-        // floor.
+        // The Mehrotra starting-point heuristic — one loose Newton solve
+        // of min ½xᵀPx + qᵀx + ½‖Ax − t‖² pulling each bounded linear
+        // row toward a well-centered target `t` (the same condensed
+        // system with unit barrier weights, so the direct path reuses
+        // its symbolic factorization), then slacks clamped well inside
+        // the bounds and unit one-sided multipliers.
         let mut x = vec![0.0f64; n];
-        if let Some((wx, _)) = &warm {
-            x.copy_from_slice(wx);
-        } else if n > 0 && m > 0 {
+        if n > 0 && m > 0 {
             let _span = dme_obs::span("start");
-            let mut d0 = vec![0.0f64; m];
-            let mut rp0 = vec![0.0f64; m];
+            let mut d0 = vec![0.0f64; mr];
+            let mut rp0 = vec![0.0f64; mr];
             for i in 0..m {
                 let (fl, fu) = (rows.has_l[i], rows.has_u[i]);
                 if fl || fu {
@@ -489,21 +553,20 @@ impl IpmSolver {
             // A starting point only needs a loose solve; non-finite or
             // runaway results (singular systems) fall back to x = 0.
             sys.set_tolerances(1e-4, 1e-6 * q_norm);
-            sys.prepare(&d0, obs);
+            sys.prepare(&d0, None, obs);
             if sys.solve(&g, &d0, q, &rp0, &mut dx, obs).is_ok()
                 && inf_norm(&dx) <= 1e8 * (1.0 + b_norm)
             {
                 x.copy_from_slice(&dx);
             }
         }
-        let ax0 = a.mul_vec(&x);
-        for i in 0..m {
+        let ax0 = activity(&x);
+        for i in 0..mr {
             let (lo, hi) = (l[i], u[i]);
-            let margin = match (&warm, lo.is_finite() && hi.is_finite()) {
-                (None, true) => (0.1 * (hi - lo)).clamp(1e-6, 1.0),
-                (None, false) => 1.0,
-                (Some(_), true) => (1e-3 * (hi - lo)).clamp(1e-9, 1e-3),
-                (Some(_), false) => 1e-6,
+            let margin = if lo.is_finite() && hi.is_finite() {
+                (0.1 * (hi - lo)).clamp(1e-6, 1.0)
+            } else {
+                1.0
             };
             rows.s[i] = match (rows.has_l[i], rows.has_u[i]) {
                 (true, true) => ax0[i].clamp(
@@ -514,15 +577,14 @@ impl IpmSolver {
                 (false, true) => ax0[i].min(hi - margin),
                 (false, false) => ax0[i],
             };
-            let wy = warm.as_ref().map_or(0.0, |(_, wy)| wy[i]);
             if rows.has_l[i] {
-                rows.zl[i] = if warm.is_some() { (-wy).max(1e-4) } else { 1.0 };
+                rows.zl[i] = 1.0;
             }
             if rows.has_u[i] {
-                rows.zu[i] = if warm.is_some() { wy.max(1e-4) } else { 1.0 };
+                rows.zu[i] = 1.0;
             }
         }
-        let mut y: Vec<f64> = (0..m).map(|i| rows.zu[i] - rows.zl[i]).collect();
+        let mut y: Vec<f64> = (0..mr).map(|i| rows.zu[i] - rows.zl[i]).collect();
 
         // Eisenstat–Walker forcing state (CG path): previous relative KKT
         // residual, driving the next solve's relative tolerance.
@@ -536,6 +598,10 @@ impl IpmSolver {
         const STALL_RP: f64 = 1e-4;
         const STALL_RD: f64 = 1e-2;
         const STALL_MU: f64 = 1e-4;
+        // Iterations in a row whose Newton solves all stopped at the CG
+        // cap: the dual residual then measures the inexact solves rather
+        // than the iterate, and the merit-stall exit accepts it at 1e-1.
+        let mut capped_streak = 0usize;
 
         let mut status = SolveStatus::MaxIterations;
         let mut iterations = st.max_iter;
@@ -544,25 +610,29 @@ impl IpmSolver {
         let mut stalled_steps = 0usize;
         let mut prev_mu = f64::INFINITY;
         // Merit-based stall detection: the best combined KKT merit seen
-        // so far and the number of consecutive iterations without a ≥1%
-        // improvement on it.
+        // so far, as of each iteration.
         let mut best_merit = f64::INFINITY;
-        let mut no_progress = 0usize;
+        let mut best_by_iter: Vec<f64> = Vec::with_capacity(st.max_iter);
         // CG effort of the Newton solves, for the `Auto` revisit.
         let mut cg_iters = 0usize;
         let mut cg_solves = 0usize;
 
         for iter in 0..st.max_iter {
-            // Residuals.
+            // Residuals. The quadratic row's gradient is its coefficient
+            // row this iteration.
+            let grad = row.map(|r| r.gradient(&x));
             let px = p.mul_vec(&x);
-            let aty = a.mul_transpose_vec(&y);
+            let mut aty = a.mul_transpose_vec(&y[..m]);
+            if let Some(gr) = &grad {
+                vecops::axpy(y[m], gr, &mut aty);
+            }
             let rd: Vec<f64> = (0..n).map(|j| px[j] + q[j] + aty[j]).collect();
-            let ax = a.mul_vec(&x);
-            let rp: Vec<f64> = (0..m).map(|i| ax[i] - rows.s[i]).collect();
+            let ax = activity(&x);
+            let rp: Vec<f64> = (0..mr).map(|i| ax[i] - rows.s[i]).collect();
             // y-consistency is maintained exactly (y := zu − zl below).
             let mut mu = 0.0;
             let mut nfin = 0usize;
-            for i in 0..m {
+            for i in 0..mr {
                 if rows.has_l[i] {
                     mu += rows.zl[i] * (rows.s[i] - l[i]);
                     nfin += 1;
@@ -597,7 +667,7 @@ impl IpmSolver {
             // set) the central path leads to a non-strictly-complementary
             // point: the merit stops contracting while the step length
             // collapses, and Mehrotra iterations churn forever. When the
-            // merit has not improved by ≥1% for several consecutive
+            // best merit has improved by less than 10% over the last five
             // iterations AND the iterate already meets the reduced
             // tolerances below (primal and µ near full precision, dual
             // within 1e-2 — the dual is exactly what non-strict
@@ -606,17 +676,30 @@ impl IpmSolver {
             // codes. An iterate that is stalled but *not* within reduced
             // precision keeps iterating (an inexact Newton backend may
             // still escape, and an honest MaxIterations beats a wrong
-            // Solved).
+            // Solved). While the CG backend is capped the dual residual is
+            // the solves' own error, so it is accepted at ten times the
+            // bound: a degenerate QCP's endgame, where the curvature of
+            // the dose block is only λ·diag(p_c), otherwise spends the
+            // iteration cap on 400-step CG solves that no longer move the
+            // iterate.
             let merit = rp_inf.max(rd_inf).max(mu);
-            if merit < 0.99 * best_merit {
-                best_merit = merit;
-                no_progress = 0;
+            best_merit = best_merit.min(merit);
+            best_by_iter.push(best_merit);
+            let stalled = iter >= 5 && best_merit > 0.9 * best_by_iter[iter - 5];
+            let rd_bound = if capped_streak >= 2 {
+                10.0 * STALL_RD
             } else {
-                no_progress += 1;
-            }
-            if no_progress >= 5 && rp_inf < STALL_RP && rd_inf < STALL_RD && mu < STALL_MU {
+                STALL_RD
+            };
+            if stalled && rp_inf < STALL_RP && rd_inf < rd_bound && mu < STALL_MU {
                 status = SolveStatus::Solved;
                 iterations = iter;
+                obs.stall_exit(&StallExit {
+                    iter,
+                    primal_residual: rp_inf,
+                    dual_residual: rd_inf,
+                    mu,
+                });
                 break;
             }
 
@@ -625,9 +708,9 @@ impl IpmSolver {
             // identity `PΔx + AᵀΔy = −rd` holds exactly even when a slack
             // is pinned to the boundary (inconsistent clamping would leak
             // the clamp error straight into the dual residual).
-            let mut sl_eff = vec![0.0f64; m];
-            let mut su_eff = vec![0.0f64; m];
-            for i in 0..m {
+            let mut sl_eff = vec![0.0f64; mr];
+            let mut su_eff = vec![0.0f64; mr];
+            for i in 0..mr {
                 if rows.has_l[i] {
                     sl_eff[i] = (rows.s[i] - l[i]).max(rows.zl[i] * 1e-12).max(1e-14);
                 }
@@ -636,7 +719,7 @@ impl IpmSolver {
                 }
             }
             // Barrier diagonal D and first-order term g (σ = 0, affine).
-            for i in 0..m {
+            for i in 0..mr {
                 let mut di = 0.0;
                 let mut gi = 0.0;
                 if rows.has_l[i] {
@@ -679,8 +762,24 @@ impl IpmSolver {
             sys.set_tolerances(cg_rel_tol, cg_abs_tol);
 
             // One numeric preparation per iteration — the predictor and
-            // corrector share D, hence the factorization.
-            sys.prepare(&d, obs);
+            // corrector share D, hence the factorization. The quadratic
+            // row adds its Lagrangian curvature λ·diag(p_c).
+            let row_hessian: Vec<f64> = row.map_or_else(Vec::new, |r| {
+                r.p_diag.iter().map(|&pj| rows.zu[m] * pj).collect()
+            });
+            let row_terms = grad.as_deref().map(|gr| RowTerms {
+                hessian: &row_hessian,
+                gradient: gr,
+            });
+            sys.prepare(&d, row_terms, obs);
+            // A·Δx over every barrier row, the quadratic one included.
+            let row_product = |dx: &[f64]| {
+                let mut adx = a.mul_vec(dx);
+                if let Some(gr) = &grad {
+                    adx.push(vecops::dot(gr, dx));
+                }
+                adx
+            };
 
             let rows_view = RowView {
                 has_l: &rows.has_l,
@@ -696,14 +795,18 @@ impl IpmSolver {
             // first-order g, probed to the boundary to measure µ_aff. The
             // basic strategy skips it; the affine deltas stay zero so the
             // shared corrector formulas below degrade to plain centering.
-            let mut ds_aff = vec![0.0f64; m];
-            let mut dzl_aff = vec![0.0f64; m];
-            let mut dzu_aff = vec![0.0f64; m];
+            let mut ds_aff = vec![0.0f64; mr];
+            let mut dzl_aff = vec![0.0f64; mr];
+            let mut dzu_aff = vec![0.0f64; mr];
+            let mut kappa_aff = 0.0;
             let (mu_aff, cg_pred) = if use_predictor {
                 let _span = dme_obs::span("predictor");
                 let cg_pred = sys.solve(&g, &d, &rd, &rp, &mut dx, obs)?;
-                let adx = a.mul_vec(&dx);
-                for i in 0..m {
+                let adx = row_product(&dx);
+                if let Some(r) = row {
+                    kappa_aff = (0..n).map(|j| r.p_diag[j] * dx[j] * dx[j]).sum();
+                }
+                for i in 0..mr {
                     ds_aff[i] = adx[i] + rp[i];
                     if rows.has_l[i] {
                         dzl_aff[i] = -rows.zl[i] - rows.zl[i] * ds_aff[i] / sl_eff[i];
@@ -719,7 +822,7 @@ impl IpmSolver {
                 let a_aff = ap_aff.min(ad_aff);
                 // µ after the affine step.
                 let mut mu_aff = 0.0;
-                for i in 0..m {
+                for i in 0..mr {
                     if rows.has_l[i] {
                         mu_aff += (rows.zl[i] + a_aff * dzl_aff[i])
                             * (rows.s[i] + a_aff * ds_aff[i] - l[i]).max(0.0);
@@ -739,6 +842,7 @@ impl IpmSolver {
                     CgSolve {
                         iterations: 0,
                         rel_residual: 0.0,
+                        capped: false,
                     },
                 )
             };
@@ -758,9 +862,9 @@ impl IpmSolver {
             // Δs that the fraction-to-boundary rule must crush, pinning
             // α near zero for every row. Wide and one-sided rows always
             // get the plain σµ target.
-            let mut tl = vec![0.0f64; m];
-            let mut tu = vec![0.0f64; m];
-            for i in 0..m {
+            let mut tl = vec![0.0f64; mr];
+            let mut tu = vec![0.0f64; mr];
+            for i in 0..mr {
                 tl[i] = sigma * mu;
                 tu[i] = sigma * mu;
                 if rows.has_l[i] && rows.has_u[i] {
@@ -776,7 +880,7 @@ impl IpmSolver {
             // centering plus the Mehrotra second-order terms (zero when no
             // predictor ran).
             let _span_corr = dme_obs::span("corrector");
-            for i in 0..m {
+            for i in 0..mr {
                 let mut gi = 0.0;
                 if rows.has_l[i] {
                     let cl = tl[i] - rows.zl[i] * sl_eff[i] - dzl_aff[i] * ds_aff[i];
@@ -788,16 +892,30 @@ impl IpmSolver {
                 }
                 g[i] = gi;
             }
-            let cg_corr = sys.solve(&g, &d, &rd, &rp, &mut dx, obs)?;
+            // The quadratic row's curvature correction: a step Δx moves
+            // the row by gᵀΔx + ½ΔxᵀP_cΔx, not gᵀΔx, so the corrector aims
+            // its slack at the row value the affine step predicts. Without
+            // it a full step overshoots a strongly curved row by the
+            // curvature term, which later iterations must remove.
+            let mut rp_corr = rp.clone();
+            if row.is_some() {
+                rp_corr[m] += 0.5 * kappa_aff;
+            }
+            let cg_corr = sys.solve(&g, &d, &rd, &rp_corr, &mut dx, obs)?;
             cg_iters += cg_pred.iterations + cg_corr.iterations;
             cg_solves += 1 + usize::from(use_predictor);
+            if cg_corr.capped && (cg_pred.capped || !use_predictor) {
+                capped_streak += 1;
+            } else {
+                capped_streak = 0;
+            }
 
-            let adx = a.mul_vec(&dx);
-            let mut ds = vec![0.0f64; m];
-            let mut dzl = vec![0.0f64; m];
-            let mut dzu = vec![0.0f64; m];
-            for i in 0..m {
-                ds[i] = adx[i] + rp[i];
+            let adx = row_product(&dx);
+            let mut ds = vec![0.0f64; mr];
+            let mut dzl = vec![0.0f64; mr];
+            let mut dzu = vec![0.0f64; mr];
+            for i in 0..mr {
+                ds[i] = adx[i] + rp_corr[i];
                 if rows.has_l[i] {
                     let cl = tl[i] - rows.zl[i] * sl_eff[i] - dzl_aff[i] * ds_aff[i];
                     dzl[i] = (cl - rows.zl[i] * ds[i]) / sl_eff[i];
@@ -849,6 +967,12 @@ impl IpmSolver {
                 if stalled_steps >= 3 {
                     if rp_inf < STALL_RP && rd_inf < STALL_RD && mu < STALL_MU {
                         status = SolveStatus::Solved;
+                        obs.stall_exit(&StallExit {
+                            iter,
+                            primal_residual: rp_inf,
+                            dual_residual: rd_inf,
+                            mu,
+                        });
                     }
                     iterations = iter + 1;
                     break;
@@ -859,7 +983,7 @@ impl IpmSolver {
             for j in 0..n {
                 x[j] += alpha * dx[j];
             }
-            for i in 0..m {
+            for i in 0..mr {
                 rows.s[i] += alpha * ds[i];
                 // Keep the iterate strictly interior: a slack or multiplier
                 // that lands exactly on (or numerically past) its boundary
@@ -895,6 +1019,7 @@ impl IpmSolver {
             iterations,
             primal_residual: final_rp,
             dual_residual: final_rd,
+            row_multiplier: 0.0,
         })
     }
 }
@@ -1315,52 +1440,135 @@ mod tests {
         }
     }
 
-    #[test]
-    fn warm_start_cuts_iterations() {
-        // Re-solving from the previous optimum after a small bound change
-        // (a bisection probe) must not take more iterations than cold —
-        // even now that cold solves start from the Mehrotra heuristic
-        // point rather than x = 0.
-        let qp = {
-            let n = 40usize;
-            let p_diag: Vec<f64> = (0..n).map(|i| 1.0 + (i % 3) as f64).collect();
-            let q: Vec<f64> = (0..n).map(|i| ((i * 5) % 7) as f64 - 3.0).collect();
-            let mut trips = Vec::new();
-            for i in 0..n {
-                trips.push((i, i, 1.0));
-                if i + 1 < n {
-                    trips.push((n + i, i, 1.0));
-                    trips.push((n + i, i + 1, -1.0));
-                }
-            }
-            let m = 2 * n - 1;
-            QuadProgram::new(
-                CsrMatrix::diagonal(&p_diag),
-                q,
-                CsrMatrix::from_triplets(m, n, &trips),
-                vec![-1.5; m],
-                vec![1.5; m],
-            )
-            .unwrap()
+    /// `min −x − y  s.t.  x² + y² ≤ 1` inside the box `[−2, 2]²`: the
+    /// optimum −√2 sits on the disc at `(1/√2, 1/√2)` with λ = 1/√2.
+    fn disc_lp() -> (QuadProgram, QuadRow) {
+        let qp = QuadProgram::new(
+            CsrMatrix::zeros(2, 2),
+            vec![-1.0, -1.0],
+            CsrMatrix::identity(2),
+            vec![-2.0, -2.0],
+            vec![2.0, 2.0],
+        )
+        .unwrap();
+        let row = QuadRow {
+            p_diag: vec![2.0, 2.0],
+            q: vec![0.0, 0.0],
+            xi: 1.0,
         };
-        let mut solver = IpmSolver::new(IpmSettings::default());
-        let base = solver.solve(&qp).expect("cold solve");
-        // Nudge the bounds slightly (what set_tau does between probes).
-        let mut probe = qp.clone();
-        for u in probe.u.iter_mut() {
-            *u *= 0.98;
+        (qp, row)
+    }
+
+    #[test]
+    fn quadratic_row_solves_the_disc_lp_on_both_backends() {
+        let (qp, row) = disc_lp();
+        for backend in [NewtonBackend::Cg, NewtonBackend::Direct] {
+            let mut obs = Collect::default();
+            let s = IpmSolver::new(IpmSettings {
+                backend,
+                ..IpmSettings::default()
+            })
+            .solve_qcp(&qp, &row, &mut obs)
+            .expect("solve");
+            assert_eq!(s.status, SolveStatus::Solved, "{backend:?}");
+            assert_eq!(
+                obs.backends,
+                vec![if backend == NewtonBackend::Cg {
+                    "cg"
+                } else {
+                    "direct"
+                }]
+            );
+            let root_half = std::f64::consts::FRAC_1_SQRT_2;
+            assert!(
+                (s.objective + std::f64::consts::SQRT_2).abs() < 1e-6,
+                "{backend:?}: objective {}",
+                s.objective
+            );
+            for j in 0..2 {
+                assert!(
+                    (s.x[j] - root_half).abs() < 1e-5,
+                    "{backend:?}: x = {:?}",
+                    s.x
+                );
+            }
+            assert!(row.value(&s.x) <= row.xi + 1e-6);
+            assert!(
+                (s.row_multiplier - root_half).abs() < 1e-4,
+                "λ = {}",
+                s.row_multiplier
+            );
+            assert!(s.primal_residual < 1e-6 && s.dual_residual < 1e-5);
         }
-        let cold = solver.solve(&probe).expect("cold probe");
-        solver.warm_start(base.x.clone(), base.y.clone());
-        let warm = solver.solve(&probe).expect("warm probe");
-        assert_eq!(warm.status, SolveStatus::Solved);
-        assert!(
-            warm.iterations <= cold.iterations,
-            "warm {} vs cold {}",
-            warm.iterations,
-            cold.iterations
-        );
-        assert!((warm.objective - cold.objective).abs() < 1e-5 * (1.0 + cold.objective.abs()));
+    }
+
+    #[test]
+    fn inactive_quadratic_row_leaves_the_qp_optimum() {
+        // min (x − ½)² + (y − ½)² inside the box, under x² + y² ≤ 4: the
+        // unconstrained optimum is interior to the disc, so λ → 0.
+        let (mut qp, mut row) = disc_lp();
+        qp.p = CsrMatrix::diagonal(&[2.0, 2.0]);
+        row.xi = 4.0;
+        for backend in [NewtonBackend::Cg, NewtonBackend::Direct] {
+            let s = IpmSolver::new(IpmSettings {
+                backend,
+                ..IpmSettings::default()
+            })
+            .solve_qcp(&qp, &row, &mut NopObserver)
+            .expect("solve");
+            assert_eq!(s.status, SolveStatus::Solved);
+            assert!(
+                (s.x[0] - 0.5).abs() < 1e-6 && (s.x[1] - 0.5).abs() < 1e-6,
+                "x = {:?}",
+                s.x
+            );
+            assert!(s.row_multiplier.abs() < 1e-6, "λ = {}", s.row_multiplier);
+        }
+    }
+
+    #[test]
+    fn infinite_budget_means_no_row() {
+        let (qp, mut row) = disc_lp();
+        row.xi = f64::INFINITY;
+        for backend in [NewtonBackend::Cg, NewtonBackend::Direct] {
+            let solver = IpmSolver::new(IpmSettings {
+                backend,
+                ..IpmSettings::default()
+            });
+            let with_row = solver.solve_qcp(&qp, &row, &mut NopObserver).expect("row");
+            let plain = solver.solve(&qp).expect("plain");
+            // Without the disc the LP runs to the box corner (2, 2).
+            assert_eq!(with_row.x, plain.x);
+            assert_eq!(with_row.iterations, plain.iterations);
+            assert_eq!(with_row.row_multiplier, 0.0);
+            assert!(
+                (plain.objective + 4.0).abs() < 1e-6,
+                "obj = {}",
+                plain.objective
+            );
+        }
+    }
+
+    #[test]
+    fn malformed_quadratic_rows_are_rejected() {
+        let (qp, row) = disc_lp();
+        let solver = IpmSolver::new(IpmSettings::default());
+        let short = QuadRow {
+            q: vec![0.0],
+            ..row.clone()
+        };
+        assert!(matches!(
+            solver.solve_qcp(&qp, &short, &mut NopObserver),
+            Err(SolveError::Dimension(_))
+        ));
+        let concave = QuadRow {
+            p_diag: vec![2.0, -1.0],
+            ..row
+        };
+        assert!(matches!(
+            solver.solve_qcp(&qp, &concave, &mut NopObserver),
+            Err(SolveError::Numerical(_))
+        ));
     }
 
     #[test]

@@ -349,14 +349,21 @@ impl DirectSolver {
         }
     }
 
-    /// Numeric phase: reassembles `K = P + AᵀDA` through the cached
-    /// scatter plan and refactors into the cached symbolic structure.
-    pub fn factor(&mut self, p: &CsrMatrix, a: &CsrMatrix, d: &[f64]) {
+    /// Numeric phase: reassembles `K = P + diag(h) + AᵀDA` through the
+    /// cached scatter plan and refactors into the cached symbolic
+    /// structure. `h` is an extra diagonal (empty for none); the pattern
+    /// of `K` always holds the full diagonal.
+    pub fn factor(&mut self, p: &CsrMatrix, a: &CsrMatrix, d: &[f64], h: &[f64]) {
         let (_, _, pv) = p.raw_parts();
         let (_, _, av) = a.raw_parts();
         self.kx.fill(0.0);
         for &(slot, e) in &self.p_plan {
             self.kx[slot as usize] += pv[e as usize];
+        }
+        if !h.is_empty() {
+            for (new, &old) in self.perm.iter().enumerate() {
+                self.kx[self.diag_slot[new]] += h[old];
+            }
         }
         for q in 0..self.a_slot.len() {
             let w = d[self.a_row[q] as usize] * av[self.a_i[q] as usize] * av[self.a_j[q] as usize];
@@ -548,7 +555,7 @@ mod tests {
 
     fn check_solve(p: &CsrMatrix, a: &CsrMatrix, d: &[f64], b: &[f64], tol: f64) {
         let mut ds = direct(p, a);
-        ds.factor(p, a, d);
+        ds.factor(p, a, d, &[]);
         let mut x = vec![0.0; b.len()];
         ds.solve(b, &mut x);
         let kx = normal_mul(p, a, d, &x);
@@ -590,7 +597,7 @@ mod tests {
         let mut ds = direct(&p, &a);
         for scale in [1.0, 10.0, 1e4] {
             let d = vec![scale, 2.0 * scale];
-            ds.factor(&p, &a, &d);
+            ds.factor(&p, &a, &d, &[]);
             let b = vec![1.0, 2.0, 3.0];
             let mut x = vec![0.0; 3];
             ds.solve(&b, &mut x);
@@ -608,7 +615,7 @@ mod tests {
         let p = CsrMatrix::diagonal(&[2.0, 0.0, 1.0]);
         let a = CsrMatrix::from_triplets(1, 3, &[(0, 0, 1.0), (0, 2, 1.0)]);
         let mut ds = direct(&p, &a);
-        ds.factor(&p, &a, &[3.0]);
+        ds.factor(&p, &a, &[3.0], &[]);
         assert_eq!(ds.pivots_clamped, 1);
         let mut x = vec![0.0; 3];
         ds.solve(&[1.0, 0.0, 1.0], &mut x);
@@ -631,7 +638,7 @@ mod tests {
         let an = Analysis::new(&p, &a).expect("buildable");
         let nnz_l = an.nnz_l;
         let mut ds = DirectSolver::build(an, &p, &a, 0);
-        ds.factor(&p, &a, &vec![1.0; n - 6]);
+        ds.factor(&p, &a, &vec![1.0; n - 6], &[]);
         assert_eq!(ds.factor.lnz.iter().sum::<usize>(), nnz_l);
         assert_eq!(
             ds.factor.lnz,

@@ -12,9 +12,11 @@
 //!   problems of the form `min ½·xᵀPx + qᵀx  s.t.  l ≤ Ax ≤ u`, with the
 //!   `x`-update performed by a matrix-free preconditioned conjugate-gradient
 //!   solve (the KKT matrix `P + σI + ρAᵀA` is never formed),
-//! - [`qcp::bisect_min`]: an exact reduction of the paper's quadratically
-//!   constrained program (minimize clock period subject to a leakage bound)
-//!   to a sequence of QP feasibility questions,
+//! - [`IpmSolver`]: the Mehrotra predictor-corrector interior-point
+//!   solver the dose-map programs run on, which also carries one convex
+//!   quadratic row ([`QuadRow`], [`IpmSolver::solve_qcp`]) — the paper's
+//!   quadratically constrained program (minimize the clock period
+//!   subject to a leakage bound) in one solve,
 //! - [`lsq`]: small dense least-squares fits used for library
 //!   characterization (the `Ap`, `Bp`, `αp`, `βp`, `γp` coefficients).
 //!
@@ -50,7 +52,6 @@ pub mod lsq;
 pub mod mps;
 mod observer;
 mod ordering;
-pub mod qcp;
 pub mod strategies;
 
 pub use admm::{AdmmSettings, AdmmSolver, Solution, SolveStatus};
@@ -59,7 +60,7 @@ pub use error::SolveError;
 pub use ipm::{IpmSettings, IpmSolver, NewtonBackend};
 pub use observer::{
     BackendDecision, CgSolve, DecisionReason, FactorizationEvent, IpmIteration, NopObserver,
-    SolverObserver,
+    SolverObserver, StallExit,
 };
 pub use strategies::IpmStrategy;
 
@@ -160,6 +161,40 @@ impl QuadProgram {
             worst = worst.max(li - axi).max(axi - ui);
         }
         worst
+    }
+}
+
+/// One convex quadratic constraint row `½·xᵀdiag(p)x + qᵀx ≤ ξ` — the
+/// shape of the paper's leakage budget `ΔLeakage(d) ≤ ξ` (Sections
+/// III-A.2 / III-B.2). [`IpmSolver::solve_qcp`] carries it alongside a
+/// [`QuadProgram`]'s rows; `xi = +∞` means no row.
+#[derive(Debug, Clone)]
+pub struct QuadRow {
+    /// Diagonal of the row's Hessian, length `n`, every entry ≥ 0.
+    pub p_diag: Vec<f64>,
+    /// Linear coefficients, length `n`.
+    pub q: Vec<f64>,
+    /// Upper bound ξ (`+∞` disables the row).
+    pub xi: f64,
+}
+
+impl QuadRow {
+    /// The row value `½·xᵀdiag(p)x + qᵀx` at a point.
+    pub fn value(&self, x: &[f64]) -> f64 {
+        x.iter()
+            .zip(&self.p_diag)
+            .zip(&self.q)
+            .map(|((&xj, &pj), &qj)| (0.5 * pj * xj + qj) * xj)
+            .sum()
+    }
+
+    /// The row gradient `diag(p)·x + q` at a point.
+    pub fn gradient(&self, x: &[f64]) -> Vec<f64> {
+        x.iter()
+            .zip(&self.p_diag)
+            .zip(&self.q)
+            .map(|((&xj, &pj), &qj)| pj * xj + qj)
+            .collect()
     }
 }
 

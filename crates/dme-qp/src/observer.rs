@@ -45,6 +45,26 @@ pub struct CgSolve {
     pub iterations: usize,
     /// Final relative residual `‖r‖₂ / ‖b‖₂`.
     pub rel_residual: f64,
+    /// Whether the solve stopped at [`crate::IpmSettings::cg_max_iter`]
+    /// short of its tolerance.
+    pub capped: bool,
+}
+
+/// A solve that ended through one of the IPM's stall exits and was
+/// accepted at reduced precision: its iterate stopped improving while
+/// the primal residual and µ met the reduced tolerances and the dual
+/// residual stayed within 1e-2. The residuals are the scaled relative
+/// ones the exit tested.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct StallExit {
+    /// Zero-based Newton iteration at which the solve stopped.
+    pub iter: usize,
+    /// Relative primal residual.
+    pub primal_residual: f64,
+    /// Relative dual residual.
+    pub dual_residual: f64,
+    /// Average complementarity gap µ.
+    pub mu: f64,
 }
 
 /// Telemetry for one numeric (re)factorization in the direct Newton
@@ -156,6 +176,12 @@ pub trait SolverObserver {
     /// numeric (re)factorization.
     fn factorization(&mut self, ev: &FactorizationEvent) {
         let _ = ev;
+    }
+
+    /// Called when a solve ends through a stall exit that reports
+    /// [`crate::SolveStatus::Solved`] at reduced precision.
+    fn stall_exit(&mut self, exit: &StallExit) {
+        let _ = exit;
     }
 }
 

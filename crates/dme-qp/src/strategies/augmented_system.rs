@@ -6,15 +6,33 @@ use crate::{CsrMatrix, SolveError};
 use dme_par::vecops;
 use std::time::Instant;
 
+/// The convex quadratic row's part of one iteration's Newton matrix.
+///
+/// A row `c(x) = ½xᵀdiag(p_c)x + q_cᵀx ≤ ξ` with multiplier λ enters the
+/// condensed system like one more constraint row whose coefficients are
+/// its gradient `g = p_c⊙x + q_c` (re-evaluated every iteration), plus
+/// the curvature `λ·diag(p_c)` of the Lagrangian. Its barrier weight is
+/// the last entry of the `d` passed alongside.
+#[derive(Debug, Clone, Copy)]
+pub struct RowTerms<'a> {
+    /// `λ·p_c`, added to the diagonal of `P`.
+    pub hessian: &'a [f64],
+    /// The row gradient `g` at the current iterate.
+    pub gradient: &'a [f64],
+}
+
 /// Forms and solves the per-iteration Newton system.
 ///
 /// The contract is the condensed normal-equations form: after the slacks
 /// and one-sided multipliers are eliminated, each step reduces to
 /// `(P + AᵀDA)·Δx = −r_d − Aᵀ(g + D·r_p)` where `D` is the barrier
 /// diagonal and `g` carries the (strategy-dependent) complementarity
-/// targets. Implementations own the linear-solver state so one numeric
-/// preparation ([`AugmentedSystem::prepare`]) can be shared by several
-/// solves — exactly what the Mehrotra predictor/corrector pair exploits.
+/// targets. With a quadratic row ([`RowTerms`]) `P` gains `λ·diag(p_c)`
+/// and `A` gains the row gradient as an extra last row, so `d`, `g` and
+/// `r_p` carry one entry more than `A` has rows. Implementations own the
+/// linear-solver state so one numeric preparation
+/// ([`AugmentedSystem::prepare`]) can be shared by several solves —
+/// exactly what the Mehrotra predictor/corrector pair exploits.
 pub trait AugmentedSystem {
     /// Linear-solver name for telemetry: `"direct"` or `"cg"`.
     fn backend_name(&self) -> &'static str;
@@ -24,10 +42,12 @@ pub trait AugmentedSystem {
     /// sequence changes these every iteration).
     fn set_tolerances(&mut self, rel_tol: f64, abs_tol: f64);
 
-    /// Prepares the system for the barrier diagonal `d`: one numeric
-    /// refactorization on the direct path (streamed to `obs`), a no-op
-    /// for matrix-free CG.
-    fn prepare(&mut self, d: &[f64], obs: &mut dyn SolverObserver);
+    /// Prepares the system for the barrier diagonal `d` and, when the
+    /// program has one, the quadratic row's terms: one numeric
+    /// refactorization on the direct path (streamed to `obs`) plus the
+    /// row's Sherman–Morrison vector `K⁻¹g`; for matrix-free CG it only
+    /// records the row.
+    fn prepare(&mut self, d: &[f64], row: Option<RowTerms<'_>>, obs: &mut dyn SolverObserver);
 
     /// Solves `(P + AᵀDA)·Δx = −rd − Aᵀ(g + D·rp)` into `dx`, streaming
     /// CG telemetry to `obs` on the iterative path.
@@ -50,7 +70,9 @@ pub trait AugmentedSystem {
 /// The condensed SPD formulation `(P + AᵀDA)` with the two bundled
 /// linear solvers: cached sparse LDLᵀ (numeric refactorization per
 /// [`CondensedSystem::prepare`] call) or Jacobi-preconditioned
-/// matrix-free CG.
+/// matrix-free CG. A quadratic row's rank-one term `d_c·ggᵀ` is never
+/// assembled: CG applies it with one dot and one axpy per product, and
+/// the direct path corrects the factor's solves by Sherman–Morrison.
 pub struct CondensedSystem<'a> {
     p: &'a CsrMatrix,
     a: &'a CsrMatrix,
@@ -60,6 +82,49 @@ pub struct CondensedSystem<'a> {
     cg_max_iter: usize,
     rel_tol: f64,
     abs_tol: f64,
+    /// The prepared quadratic row, if any.
+    row: Option<PreparedRow>,
+}
+
+/// A quadratic row as [`CondensedSystem::prepare`] last saw it.
+struct PreparedRow {
+    /// `λ·p_c`.
+    hessian: Vec<f64>,
+    /// Row gradient `g`.
+    gradient: Vec<f64>,
+    /// Barrier weight `d_c` of the rank-one term.
+    weight: f64,
+    /// Direct path: `K⁻¹g` under the current factor of `K` without the
+    /// rank-one term, and `1 + d_c·gᵀK⁻¹g`.
+    k_inv_g: Vec<f64>,
+    denom: f64,
+}
+
+/// `out = (P + diag(h) + AᵀDA + w·ggᵀ)·x` for the row terms `(h, g, w)`,
+/// with `tm` (one entry per row of `A`) and `tn` (one per column) as
+/// scratch.
+#[allow(clippy::too_many_arguments)]
+fn apply_k(
+    p: &CsrMatrix,
+    a: &CsrMatrix,
+    d: &[f64],
+    row: Option<&PreparedRow>,
+    x: &[f64],
+    out: &mut [f64],
+    tm: &mut [f64],
+    tn: &mut [f64],
+) {
+    p.mul_vec_into(x, out);
+    a.mul_vec_into(x, tm);
+    vecops::mul_assign(&d[..tm.len()], tm);
+    a.mul_transpose_vec_into(tm, tn);
+    vecops::axpy(1.0, tn, out);
+    if let Some(r) = row {
+        for j in 0..x.len() {
+            out[j] += r.hessian[j] * x[j];
+        }
+        vecops::axpy(r.weight * vecops::dot(&r.gradient, x), &r.gradient, out);
+    }
 }
 
 impl<'a> CondensedSystem<'a> {
@@ -85,6 +150,23 @@ impl<'a> CondensedSystem<'a> {
             cg_max_iter,
             rel_tol: 1e-10,
             abs_tol: 1e-13,
+            row: None,
+        }
+    }
+
+    /// Solves `K·x = b` with the current factor, `K` including the row's
+    /// rank-one term: `x = y − K⁻¹g·d_c·gᵀy / (1 + d_c·gᵀK⁻¹g)` for
+    /// `y = K₀⁻¹b`.
+    fn direct_apply_inverse(
+        ds: &mut DirectSolver,
+        row: Option<&PreparedRow>,
+        b: &[f64],
+        x: &mut [f64],
+    ) {
+        ds.solve(b, x);
+        if let Some(r) = row {
+            let c = r.weight * vecops::dot(&r.gradient, x) / r.denom;
+            vecops::axpy(-c, &r.k_inv_g, x);
         }
     }
 }
@@ -103,11 +185,25 @@ impl AugmentedSystem for CondensedSystem<'_> {
         self.abs_tol = abs_tol;
     }
 
-    fn prepare(&mut self, d: &[f64], obs: &mut dyn SolverObserver) {
+    fn prepare(&mut self, d: &[f64], row: Option<RowTerms<'_>>, obs: &mut dyn SolverObserver) {
+        let m = self.a.nrows();
+        self.row = row.map(|r| PreparedRow {
+            hessian: r.hessian.to_vec(),
+            gradient: r.gradient.to_vec(),
+            weight: d[m],
+            k_inv_g: Vec::new(),
+            denom: 1.0,
+        });
         if let Some(ds) = self.direct.as_deref_mut() {
             let _span = dme_obs::span("refactor");
             let t0 = Instant::now();
-            ds.factor(self.p, self.a, d);
+            let h = self.row.as_ref().map_or(&[][..], |r| &r.hessian[..]);
+            ds.factor(self.p, self.a, &d[..m], h);
+            if let Some(r) = self.row.as_mut() {
+                r.k_inv_g = vec![0.0; r.gradient.len()];
+                ds.solve(&r.gradient, &mut r.k_inv_g);
+                r.denom = 1.0 + r.weight * vecops::dot(&r.gradient, &r.k_inv_g);
+            }
             obs.factorization(&FactorizationEvent {
                 symbolic_reused: ds.factors > 1,
                 refactor_ns: t0.elapsed().as_nanos() as u64,
@@ -139,15 +235,20 @@ impl AugmentedSystem for CondensedSystem<'_> {
         for j in 0..n {
             rhs[j] = -rd[j] - at_t[j];
         }
+        if let Some(r) = &self.row {
+            vecops::axpy(-(g[m] + d[m] * rp[m]), &r.gradient, &mut rhs);
+        }
         dx.fill(0.0);
+        let row = self.row.as_ref();
         if let Some(ds) = self.direct.as_deref_mut() {
-            return direct_newton_solve(ds, self.p, self.a, d, &rhs, dx, self.abs_tol);
+            return direct_newton_solve(ds, self.p, self.a, d, row, &rhs, dx, self.abs_tol);
         }
         let cg = self.cg.as_mut().expect("CG scratch exists on the CG path");
         let stats = cg.solve(
             self.p,
             self.a,
             d,
+            row,
             &self.p_diag,
             &rhs,
             dx,
@@ -165,38 +266,38 @@ impl AugmentedSystem for CondensedSystem<'_> {
 /// absolute accuracy target as the CG path (the pivot floor and the
 /// normal-equations conditioning make raw triangular solves a hair less
 /// accurate than the factorization's cost would suggest).
+#[allow(clippy::too_many_arguments)]
 fn direct_newton_solve(
     ds: &mut DirectSolver,
     p: &CsrMatrix,
     a: &CsrMatrix,
     d: &[f64],
+    row: Option<&PreparedRow>,
     rhs: &[f64],
     dx: &mut [f64],
     abs_tol: f64,
 ) -> Result<CgSolve, SolveError> {
     let n = rhs.len();
-    let m = d.len();
-    ds.solve(rhs, dx);
+    let m = a.nrows();
+    CondensedSystem::direct_apply_inverse(ds, row, rhs, dx);
     let mut corr = vec![0.0f64; n];
     let mut resid = vec![0.0f64; n];
     let mut tm = vec![0.0f64; m];
+    let mut tn = vec![0.0f64; n];
     let b_norm = vecops::norm2(rhs).max(1e-300);
     let mut rel = 0.0;
     for _ in 0..3 {
-        // resid = rhs − (P + AᵀDA)·dx, matrix-free.
-        p.mul_vec_into(dx, &mut resid);
-        a.mul_vec_into(dx, &mut tm);
-        vecops::mul_assign(d, &mut tm);
-        let at = a.mul_transpose_vec(&tm);
+        // resid = rhs − K·dx, matrix-free.
+        apply_k(p, a, d, row, dx, &mut resid, &mut tm, &mut tn);
         for j in 0..n {
-            resid[j] = rhs[j] - resid[j] - at[j];
+            resid[j] = rhs[j] - resid[j];
         }
         let r_norm = vecops::norm2(&resid);
         rel = r_norm / b_norm;
         if r_norm <= abs_tol.max(1e-14 * b_norm) {
             break;
         }
-        ds.solve(&resid, &mut corr);
+        CondensedSystem::direct_apply_inverse(ds, row, &resid, &mut corr);
         for j in 0..n {
             dx[j] += corr[j];
         }
@@ -209,6 +310,7 @@ fn direct_newton_solve(
     Ok(CgSolve {
         iterations: 0,
         rel_residual: rel,
+        capped: false,
     })
 }
 
@@ -241,6 +343,7 @@ impl CgScratch {
         pm: &CsrMatrix,
         a: &CsrMatrix,
         d: &[f64],
+        row: Option<&PreparedRow>,
         p_diag: &[f64],
         b: &[f64],
         x: &mut [f64],
@@ -261,6 +364,11 @@ impl CgScratch {
                 inv_prec[c] += di * v * v;
             }
         }
+        if let Some(r) = row {
+            for ((ip, &h), &g) in inv_prec.iter_mut().zip(&r.hessian).zip(&r.gradient) {
+                *ip += h + r.weight * g * g;
+            }
+        }
         for v in &mut inv_prec {
             *v = 1.0 / *v;
         }
@@ -270,17 +378,23 @@ impl CgScratch {
         vecops::hadamard(&inv_prec, &self.r, &mut self.z);
         let mut rz = vecops::dot(&self.r, &self.z);
         self.p.copy_from_slice(&self.z);
+        let tol = (rel_tol * b_norm).min(abs_tol.max(rel_tol * b_norm * 1e-3));
         let mut iterations = 0usize;
         for _ in 0..max_iter {
             let r_norm = vecops::norm2(&self.r);
-            if r_norm <= (rel_tol * b_norm).min(abs_tol.max(rel_tol * b_norm * 1e-3)) {
+            if r_norm <= tol {
                 break;
             }
-            pm.mul_vec_into(&self.p, &mut self.kp);
-            a.mul_vec_into(&self.p, &mut self.sm);
-            vecops::mul_assign(d, &mut self.sm);
-            a.mul_transpose_vec_into(&self.sm, &mut self.sn);
-            vecops::axpy(1.0, &self.sn, &mut self.kp);
+            apply_k(
+                pm,
+                a,
+                d,
+                row,
+                &self.p,
+                &mut self.kp,
+                &mut self.sm,
+                &mut self.sn,
+            );
             vecops::axpy(1e-12, &self.p, &mut self.kp);
             let pkp = vecops::dot(&self.p, &self.kp);
             if !pkp.is_finite() || pkp <= 0.0 {
@@ -301,6 +415,7 @@ impl CgScratch {
             vecops::xpby(&self.z, beta, &mut self.p);
         }
         let rel_residual = vecops::norm2(&self.r) / b_norm;
+        let capped = iterations == max_iter && vecops::norm2(&self.r) > tol;
         if trace {
             eprintln!("    cg: rel_res={rel_residual:.2e} (b_norm={b_norm:.2e})");
         }
@@ -312,6 +427,7 @@ impl CgScratch {
         Ok(CgSolve {
             iterations,
             rel_residual,
+            capped,
         })
     }
 }

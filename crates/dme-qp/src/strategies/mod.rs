@@ -9,7 +9,9 @@
 //! - [`AugmentedSystem`] — forms and solves the per-iteration Newton
 //!   system. The bundled [`CondensedSystem`] eliminates slacks and
 //!   multipliers down to the SPD system `(P + AᵀDA)·Δx = rhs`, backed
-//!   by either matrix-free CG or the cached sparse LDLᵀ factorization.
+//!   by either matrix-free CG or the cached sparse LDLᵀ factorization,
+//!   with an optional convex quadratic row's terms ([`RowTerms`]) on
+//!   top.
 //! - [`MuUpdate`] — chooses the centering parameter σ each iteration
 //!   and decides whether an affine predictor pass runs at all.
 //!   [`MehrotraCentering`] is the adaptive `σ = (µ_aff/µ)³` rule;
@@ -29,7 +31,7 @@ mod augmented_system;
 mod line_search;
 mod mu_update;
 
-pub use augmented_system::{AugmentedSystem, CondensedSystem};
+pub use augmented_system::{AugmentedSystem, CondensedSystem, RowTerms};
 pub use line_search::{FractionToBoundary, LineSearch, RowView};
 pub use mu_update::{CenteringContext, FixedCentering, MehrotraCentering, MuUpdate};
 

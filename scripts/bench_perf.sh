@@ -152,9 +152,6 @@ result = {
         "ipm_refactor_solve": median_ratio(
             "cg_ipm_solve_serial", "ipm_direct_refactor_solve"
         ),
-        # End-to-end MinTiming bisection: cold CG probes vs warm-started
-        # probes on the default (Auto) backend.
-        "qcp_mintiming": median_ratio("qcp_mintiming_cold", "qcp_mintiming_warm"),
     },
 }
 

@@ -219,11 +219,9 @@ def check_solver_consistency(path, m):
     if any(v is not None for v in backends):
         total = sum(v or 0 for v in backends)
         solves = c("qp/solves")
-        admm = c("qp/backend_admm") or 0
-        if solves is not None and total + admm > solves:
+        if solves is not None and total > solves:
             fail(
-                f"{path}: backend counters ({total} ipm + {admm} admm) "
-                f"exceed qp/solves ({solves})"
+                f"{path}: backend counters ({total}) exceed qp/solves ({solves})"
             )
 
     # Factorization telemetry: refactor time accompanies any factor count,
@@ -239,14 +237,14 @@ def check_solver_consistency(path, m):
                 f"qp/factorizations ({factors})"
             )
 
-    # Warm starts only happen on repeat probes of the same program.
-    hits = c("dmopt/warm_start_hits")
-    probes = c("dmopt/qp_probes")
-    if hits is not None and probes is not None and hits >= max(probes, 1):
-        fail(
-            f"{path}: dmopt/warm_start_hits ({hits}) not < "
-            f"dmopt/qp_probes ({probes})"
-        )
+    # Reduced-precision exits and CG cap hits are counted per solve and
+    # per CG Newton solve.
+    stalls = c("qp/stall_exits")
+    if stalls is not None and c("qp/solves") is not None and stalls > c("qp/solves"):
+        fail(f"{path}: qp/stall_exits ({stalls}) > qp/solves ({c('qp/solves')})")
+    caps = c("qp/cg_cap_hits")
+    if caps is not None and caps > (c("qp/cg_solves") or 0):
+        fail(f"{path}: qp/cg_cap_hits ({caps}) > qp/cg_solves ({c('qp/cg_solves')})")
 
     # Every observed IPM solve reports its iteration strategy exactly
     # once, so the strategy tallies match the per-solve backend tallies.
@@ -287,17 +285,29 @@ def check_solver_consistency(path, m):
         if row["solved"] not in (0, 1, 0.0, 1.0):
             fail(f"{path}: qp_solve row {i} non-boolean 'solved': {row['solved']!r}")
 
-    # Per-probe rows carry the full tuple with sane flag values.
-    rows = m.get("records", {}).get("qcp_probe", {}).get("rows", [])
+    # One row per MinTiming call: T* at or above the period floor, a
+    # non-negative leakage-row multiplier, and the two solves that make
+    # up the call's dmopt/qp_probes.
+    rows = m.get("records", {}).get("qcp_solve", {}).get("rows", [])
     for i, row in enumerate(rows):
-        for field in ("probe", "tau_ns", "feasible", "iterations", "warm"):
+        for field in (
+            "t_ns", "tau_ref_ns", "lambda", "qcp_iterations",
+            "probe_iterations", "certified",
+        ):
             if not isinstance(row.get(field), (int, float)):
-                fail(f"{path}: qcp_probe row {i} missing {field!r}")
-        for flag in ("feasible", "warm"):
-            if row[flag] not in (0, 1, 0.0, 1.0):
-                fail(f"{path}: qcp_probe row {i} non-boolean {flag!r}: {row[flag]!r}")
-    if rows and rows[0].get("warm") not in (0, 0.0):
-        fail(f"{path}: first qcp_probe row claims a warm start")
+                fail(f"{path}: qcp_solve row {i} missing {field!r}")
+        if row["certified"] not in (0, 1, 0.0, 1.0):
+            fail(f"{path}: qcp_solve row {i} non-boolean 'certified': {row['certified']!r}")
+        if row["t_ns"] < row["tau_ref_ns"] * (1 - 1e-9):
+            fail(f"{path}: qcp_solve row {i} T* {row['t_ns']} below the floor {row['tau_ref_ns']}")
+        if row["lambda"] < 0:
+            fail(f"{path}: qcp_solve row {i} negative multiplier {row['lambda']}")
+    probes = c("dmopt/qp_probes")
+    if rows and probes is not None and probes < 2 * len(rows):
+        fail(
+            f"{path}: dmopt/qp_probes ({probes}) < two solves per "
+            f"qcp_solve row ({len(rows)})"
+        )
 
 
 def check_dosepl_consistency(path, m):
