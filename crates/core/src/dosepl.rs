@@ -1358,7 +1358,10 @@ mod tests {
         // dispositioned each heap pop exactly once; the full-walk run
         // never touched the heap.
         assert_eq!(inc.enum_tallies.full_walks, 0);
-        assert_eq!(inc.enum_tallies.full_analyze_skipped as usize, inc.rounds_run);
+        assert_eq!(
+            inc.enum_tallies.full_analyze_skipped as usize,
+            inc.rounds_run
+        );
         assert_eq!(
             inc.enum_tallies.endpoints_popped,
             inc.enum_tallies.endpoints_selected + inc.enum_tallies.stale_discards

@@ -88,7 +88,9 @@ impl GridIndex {
                 continue;
             }
             let old_list = &mut self.members[old as usize];
-            let pos = old_list.binary_search(&id).expect("instance indexed in its grid");
+            let pos = old_list
+                .binary_search(&id)
+                .expect("instance indexed in its grid");
             old_list.remove(pos);
             let new_list = &mut self.members[g as usize];
             let pos = new_list
@@ -170,7 +172,10 @@ mod tests {
             }
             let touched = pd.touched_since(mark);
             idx.sync(&lib, &d.netlist, &p, &grid, &touched);
-            assert!(idx.is_consistent(&lib, &d.netlist, &p, &grid), "step {step}");
+            assert!(
+                idx.is_consistent(&lib, &d.netlist, &p, &grid),
+                "step {step}"
+            );
         }
         // Round-style rollback: capture the touched set before the
         // journal replays (and empties) itself, then re-file those

@@ -84,10 +84,29 @@ pub fn write_placement(p: &Placement, nl: &Netlist) -> String {
 }
 
 fn parse_f64(line: usize, tok: &str) -> Result<f64, ParseDefError> {
-    tok.parse::<f64>().map_err(|_| ParseDefError::Syntax {
+    let v = tok.parse::<f64>().map_err(|_| ParseDefError::Syntax {
         line,
         message: format!("expected a number, found {tok:?}"),
-    })
+    })?;
+    if !v.is_finite() {
+        return Err(ParseDefError::Syntax {
+            line,
+            message: format!("expected a finite number, found {tok:?}"),
+        });
+    }
+    Ok(v)
+}
+
+/// A die, row or site dimension: finite and positive.
+fn parse_length(line: usize, tok: &str) -> Result<f64, ParseDefError> {
+    let v = parse_f64(line, tok)?;
+    if v <= 0.0 {
+        return Err(ParseDefError::Syntax {
+            line,
+            message: format!("expected a positive length, found {tok:?}"),
+        });
+    }
+    Ok(v)
 }
 
 /// Parses DEF-like text back into a [`Placement`] against a netlist
@@ -96,7 +115,9 @@ fn parse_f64(line: usize, tok: &str) -> Result<f64, ParseDefError> {
 /// # Errors
 ///
 /// Returns a [`ParseDefError`] for malformed records, unknown instances
-/// or incomplete placements.
+/// or incomplete placements. A non-finite coordinate, or a die, row or
+/// site dimension that is not finite and positive, is a
+/// [`ParseDefError::Syntax`] error at its line.
 pub fn parse_placement(text: &str, nl: &Netlist) -> Result<Placement, ParseDefError> {
     let name_to_id: HashMap<&str, usize> = nl
         .instances
@@ -120,11 +141,11 @@ pub fn parse_placement(text: &str, nl: &Netlist) -> Result<Placement, ParseDefEr
             if toks.len() < 9 {
                 return Err(ParseDefError::MissingDieArea);
             }
-            die = Some((parse_f64(line, toks[6])?, parse_f64(line, toks[7])?));
+            die = Some((parse_length(line, toks[6])?, parse_length(line, toks[7])?));
         } else if l.starts_with("ROWHEIGHT") {
-            row_h = parse_f64(line, toks.get(1).copied().unwrap_or(""))?;
+            row_h = parse_length(line, toks.get(1).copied().unwrap_or(""))?;
         } else if l.starts_with("SITEWIDTH") {
-            site = parse_f64(line, toks.get(1).copied().unwrap_or(""))?;
+            site = parse_length(line, toks.get(1).copied().unwrap_or(""))?;
         } else if l.starts_with("- ") {
             // - name PLACED ( x y ) N ;
             if toks.len() < 7 || toks[2] != "PLACED" {
@@ -217,6 +238,72 @@ mod tests {
             parse_placement(text, &d.netlist),
             Err(ParseDefError::UnknownInstance { .. })
         ));
+    }
+
+    /// The tiny design's DEF text with `line_start`'s line replaced.
+    fn with_line(line_start: &str, replacement: &str) -> (String, usize, dme_netlist::Netlist) {
+        let lib = Library::standard(Technology::n65());
+        let d = gen::generate(&profiles::tiny(), &lib);
+        let p = crate::place(&d, &lib);
+        let text = write_placement(&p, &d.netlist);
+        let lineno = 1 + text
+            .lines()
+            .position(|l| l.starts_with(line_start))
+            .expect("line present");
+        let edited: Vec<&str> = text
+            .lines()
+            .map(|l| {
+                if l.starts_with(line_start) {
+                    replacement
+                } else {
+                    l
+                }
+            })
+            .collect();
+        (edited.join("\n"), lineno, d.netlist)
+    }
+
+    fn assert_syntax_error_at(line_start: &str, replacement: &str) {
+        let (text, lineno, nl) = with_line(line_start, replacement);
+        match parse_placement(&text, &nl) {
+            Err(ParseDefError::Syntax { line, .. }) => assert_eq!(line, lineno, "{replacement}"),
+            other => panic!("{replacement}: expected a syntax error, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn nan_component_y_is_rejected() {
+        assert_syntax_error_at("- ff0 ", "- ff0 PLACED ( 1.0 NaN ) N ;");
+    }
+
+    #[test]
+    fn infinite_component_x_is_rejected() {
+        assert_syntax_error_at("- ff0 ", "- ff0 PLACED ( inf 1.0 ) N ;");
+    }
+
+    #[test]
+    fn zero_row_height_is_rejected() {
+        assert_syntax_error_at("ROWHEIGHT", "ROWHEIGHT 0 ;");
+    }
+
+    #[test]
+    fn negative_or_infinite_row_height_is_rejected() {
+        assert_syntax_error_at("ROWHEIGHT", "ROWHEIGHT -1.8 ;");
+        assert_syntax_error_at("ROWHEIGHT", "ROWHEIGHT inf ;");
+    }
+
+    #[test]
+    fn non_positive_or_non_finite_site_width_is_rejected() {
+        assert_syntax_error_at("SITEWIDTH", "SITEWIDTH 0 ;");
+        assert_syntax_error_at("SITEWIDTH", "SITEWIDTH NaN ;");
+    }
+
+    #[test]
+    fn non_positive_or_non_finite_die_area_is_rejected() {
+        assert_syntax_error_at("DIEAREA", "DIEAREA ( 0 0 ) ( 0 50 ) ;");
+        assert_syntax_error_at("DIEAREA", "DIEAREA ( 0 0 ) ( 50 -50 ) ;");
+        assert_syntax_error_at("DIEAREA", "DIEAREA ( 0 0 ) ( inf 50 ) ;");
+        assert_syntax_error_at("DIEAREA", "DIEAREA ( 0 0 ) ( 50 NaN ) ;");
     }
 
     #[test]

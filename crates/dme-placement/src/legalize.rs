@@ -1,6 +1,7 @@
 //! Displacement-preserving Tetris legalization.
 
 use crate::db::Placement;
+use crate::order::ascending;
 use dme_liberty::Library;
 use dme_netlist::{InstId, Netlist};
 
@@ -15,21 +16,24 @@ use dme_netlist::{InstId, Netlist};
 /// rather than rippling the whole row tail, which keeps the re-timing
 /// cone of an ECO small. Guarantees row alignment, die containment and
 /// zero overlap provided total cell width fits the rows.
+///
+/// # Panics
+///
+/// Panics if a coordinate is NaN or the rows cannot hold the cells.
 pub fn legalize(p: &mut Placement, nl: &Netlist, lib: &Library) {
     let _span = dme_obs::span("legalize");
+    let order = ascending(&p.x_um);
+    legalize_in_order(p, nl, lib, &order);
+}
+
+/// [`legalize`] with the cells' ascending x order (ties by id) given.
+pub(crate) fn legalize_in_order(p: &mut Placement, nl: &Netlist, lib: &Library, order: &[u32]) {
     let rows = p.num_rows().max(1);
     let mut used = vec![0.0f64; rows]; // total cell width assigned per row
     let mut members: Vec<Vec<InstId>> = vec![Vec::new(); rows];
 
-    let mut order: Vec<usize> = (0..nl.num_instances()).collect();
-    order.sort_by(|&a, &b| {
-        p.x_um[a]
-            .partial_cmp(&p.x_um[b])
-            .expect("finite coordinates")
-            .then(a.cmp(&b))
-    });
-
-    for &i in &order {
+    for &i in order {
+        let i = i as usize;
         let w = lib.cell(nl.instances[i].cell_idx).width_um();
         let want_row = ((p.y_um[i] / p.row_h_um).round() as i64).clamp(0, rows as i64 - 1) as usize;
         // Probe outward in y from the wanted row; take the nearest row

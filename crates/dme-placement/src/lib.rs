@@ -42,6 +42,7 @@ mod hpwl;
 pub mod io;
 mod legalize;
 mod netbox;
+mod order;
 mod place;
 mod rowindex;
 

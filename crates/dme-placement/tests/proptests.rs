@@ -1,27 +1,12 @@
 //! Property-based tests for placement and legalization.
 
+mod common;
+
+use common::random_profile;
 use dme_device::Technology;
 use dme_liberty::Library;
-use dme_netlist::{gen, profiles, profiles::TechNode, DesignProfile, InstId};
+use dme_netlist::{gen, profiles, InstId};
 use proptest::prelude::*;
-
-fn random_profile() -> impl Strategy<Value = DesignProfile> {
-    (80usize..300, any::<u64>(), 4usize..12).prop_map(|(cells, seed, levels)| DesignProfile {
-        name: "PROP".into(),
-        node: TechNode::N65,
-        target_cells: cells,
-        num_primary_inputs: 8,
-        seq_fraction: 0.12,
-        levels,
-        chain_bias: 0.8,
-        level_taper: 0.0,
-        slices: 1,
-        ff_tap_deep_frac: 0.75,
-        die_area_mm2: cells as f64 * 5.0e-6,
-        utilization: 0.7,
-        seed,
-    })
-}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
@@ -187,6 +172,70 @@ proptest! {
             let h = p.net_hpwl(&lib, &d.netlist, dme_netlist::NetId(i));
             prop_assert!(h >= 0.0);
             prop_assert!(h <= p.die_w_um + p.die_h_um + 1e-9);
+        }
+    }
+}
+
+/// What a DEF mutation may put in place of a token.
+const BAD_TOKENS: [&str; 6] = ["NaN", "inf", "-1", "0", "", "%&garbage"];
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// The DEF reader never panics on a mutated file: lines dropped,
+    /// duplicated or truncated, and tokens (any, or a number) replaced.
+    /// Whatever it accepts has finite coordinates and finite, positive
+    /// die, row and site values, and a legality check of it runs to
+    /// completion.
+    #[test]
+    fn def_reader_survives_mutations(
+        seed in any::<u64>(),
+        edits in proptest::collection::vec((0u32..5, any::<u32>(), any::<u32>()), 1..4),
+    ) {
+        let lib = Library::standard(Technology::n65());
+        let mut profile = profiles::tiny();
+        profile.seed = seed;
+        let d = gen::generate(&profile, &lib);
+        let p = dme_placement::place(&d, &lib);
+        let text = dme_placement::io::write_placement(&p, &d.netlist);
+        let mut lines: Vec<String> = text.lines().map(String::from).collect();
+        for (kind, at, arg) in edits {
+            if lines.is_empty() {
+                break;
+            }
+            let i = at as usize % lines.len();
+            match kind {
+                0 => {
+                    lines.remove(i);
+                }
+                1 => {
+                    let line = lines[i].clone();
+                    lines.insert(i, line);
+                }
+                2 => {
+                    let keep = arg as usize % (lines[i].chars().count() + 1);
+                    lines[i] = lines[i].chars().take(keep).collect();
+                }
+                _ => {
+                    let mut toks: Vec<&str> = lines[i].split_whitespace().collect();
+                    let mut targets: Vec<usize> = (0..toks.len()).collect();
+                    if kind == 4 {
+                        targets.retain(|&j| toks[j].parse::<f64>().is_ok());
+                    }
+                    if !targets.is_empty() {
+                        let j = targets[arg as usize % targets.len()];
+                        toks[j] = BAD_TOKENS[(arg as usize / targets.len()) % BAD_TOKENS.len()];
+                    }
+                    lines[i] = toks.join(" ");
+                }
+            }
+        }
+        if let Ok(back) = dme_placement::io::parse_placement(&lines.join("\n"), &d.netlist) {
+            prop_assert!(back.x_um.iter().chain(&back.y_um).all(|v| v.is_finite()));
+            for v in [back.die_w_um, back.die_h_um, back.row_h_um, back.site_um] {
+                prop_assert!(v.is_finite() && v > 0.0, "dimension {}", v);
+            }
+            let _ = back.check_legal(&d.netlist, &lib);
         }
     }
 }

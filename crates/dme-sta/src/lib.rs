@@ -47,7 +47,6 @@ pub use engine::{
 };
 pub use incremental::{IncrementalSta, RetimeStats, TopKStats};
 pub use paths::{
-    top_k_paths, worst_path_per_endpoint, worst_paths_per_endpoint_k, worst_paths_top_k,
-    TimingPath,
+    top_k_paths, worst_path_per_endpoint, worst_paths_per_endpoint_k, worst_paths_top_k, TimingPath,
 };
 pub use wire::WireModel;

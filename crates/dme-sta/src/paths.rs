@@ -278,9 +278,8 @@ pub fn worst_paths_per_endpoint_k(
             eps.push((delay, eps.len() as u32, drv));
         }
     }
-    let by_criticality = |a: &(f64, u32, InstId), b: &(f64, u32, InstId)| {
-        b.0.total_cmp(&a.0).then(a.1.cmp(&b.1))
-    };
+    let by_criticality =
+        |a: &(f64, u32, InstId), b: &(f64, u32, InstId)| b.0.total_cmp(&a.0).then(a.1.cmp(&b.1));
     if k < eps.len() {
         eps.select_nth_unstable_by(k - 1, by_criticality);
         eps.truncate(k);
@@ -288,12 +287,7 @@ pub fn worst_paths_per_endpoint_k(
     eps.sort_unstable_by(by_criticality);
     eps.into_iter()
         .map(|(delay, _, drv)| TimingPath {
-            instances: trace_max_arrival_chain(
-                nl,
-                &report.arrival_ns,
-                &report.wire_delay_ns,
-                drv,
-            ),
+            instances: trace_max_arrival_chain(nl, &report.arrival_ns, &report.wire_delay_ns, drv),
             delay_ns: delay,
             slack_ns: report.mct_ns - delay,
         })
@@ -563,7 +557,15 @@ mod tests {
         let r = analyze(&lib, &d.netlist, &p, &doses);
         let setup_t = setups(&lib, &d.netlist);
         let full = worst_path_per_endpoint(&d.netlist, &r, &setup_t);
-        for k in [0, 1, 2, 5, full.len().saturating_sub(1), full.len(), full.len() + 10] {
+        for k in [
+            0,
+            1,
+            2,
+            5,
+            full.len().saturating_sub(1),
+            full.len(),
+            full.len() + 10,
+        ] {
             let capped = worst_paths_per_endpoint_k(&d.netlist, &r, &setup_t, k);
             let mut want = full.clone();
             want.truncate(k);

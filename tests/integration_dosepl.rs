@@ -198,7 +198,10 @@ fn dosepl_enum_modes_agree_bitwise_on_fixed_seed() {
     // analyze and dispositioned every heap pop; the full-walk run never
     // touched the heap.
     assert_eq!(inc.enum_tallies.full_walks, 0);
-    assert_eq!(inc.enum_tallies.full_analyze_skipped as usize, inc.rounds_run);
+    assert_eq!(
+        inc.enum_tallies.full_analyze_skipped as usize,
+        inc.rounds_run
+    );
     assert_eq!(
         inc.enum_tallies.endpoints_popped,
         inc.enum_tallies.endpoints_selected + inc.enum_tallies.stale_discards
