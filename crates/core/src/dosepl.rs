@@ -535,7 +535,10 @@ pub fn dosepl(
     // endpoint heap; the reference engine keeps the full walk as its
     // costed oracle.
     let use_inc_enum = use_delta && cfg.path_enum.use_incremental();
-    let mut inc = IncrementalSta::new(lib, nl, &placement, &assignment);
+    let mut inc = {
+        let _s = dme_obs::span("entry_timer");
+        IncrementalSta::new(lib, nl, &placement, &assignment)
+    };
     if use_delta {
         // Trial-and-reject undo journal: the delta engine rolls a
         // rejected candidate's timing state back by replaying old slot
@@ -568,20 +571,23 @@ pub fn dosepl(
         );
     }
 
-    let mut scratch = if use_delta {
-        SwapScratch::Delta {
-            pdelta: PlacementDelta::new(),
-            adelta: AssignmentDelta::new(),
-            cache: NetBoxCache::build(lib, nl, &placement),
-            rowindex: RowIndex::build(&placement, nl),
-            stats: DeltaEngineStats {
-                delta_engine: true,
-                ..DeltaEngineStats::default()
-            },
-        }
-    } else {
-        SwapScratch::Reference {
-            pins: NetPins::build(nl, &placement),
+    let mut scratch = {
+        let _s = dme_obs::span("entry_boxes");
+        if use_delta {
+            SwapScratch::Delta {
+                pdelta: PlacementDelta::new(),
+                adelta: AssignmentDelta::new(),
+                cache: NetBoxCache::build(lib, nl, &placement),
+                rowindex: RowIndex::build(&placement, nl),
+                stats: DeltaEngineStats {
+                    delta_engine: true,
+                    ..DeltaEngineStats::default()
+                },
+            }
+        } else {
+            SwapScratch::Reference {
+                pins: NetPins::build(nl, &placement),
+            }
         }
     };
 
@@ -599,8 +605,13 @@ pub fn dosepl(
     // engine) and the epoch-stamped criticality scratch. Both are
     // allocated once here; round startup reuses them.
     let grid = &poly.grid;
-    let mut gridx = GridIndex::build(lib, nl, &placement, grid);
-    let mut rscratch = RoundScratch::new(n);
+    let (mut gridx, mut rscratch) = {
+        let _s = dme_obs::span("entry_grid");
+        (
+            GridIndex::build(lib, nl, &placement, grid),
+            RoundScratch::new(n),
+        )
+    };
 
     for round in 0..cfg.rounds {
         let _round_span = dme_obs::span("round");

@@ -35,7 +35,7 @@ pub mod stage;
 pub mod sweep;
 mod tech;
 
-pub use stage::{StageDelay, StageParams};
+pub use stage::{StageDelay, StageDrive, StageParams};
 pub use tech::Technology;
 
 /// Thermal voltage `kT/q` at 25 °C, in volts (the paper's simulation

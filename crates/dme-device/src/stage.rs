@@ -56,6 +56,36 @@ impl StageDelay {
     }
 }
 
+/// A stage's drive at its geometry ([`StageParams::drive`]): everything
+/// [`StageParams::evaluate`] needs besides the load and input slew, so a
+/// table sweep computes it once and evaluates every grid point with a
+/// few multiplies — bit for bit what `evaluate` returns.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct StageDrive {
+    rn_kohm: f64,
+    rp_kohm: f64,
+    self_cap_ff: f64,
+    intrinsic_ns: f64,
+}
+
+impl StageDrive {
+    /// Propagation delays and output slews for the given external load
+    /// and input transition time.
+    pub fn evaluate(&self, load_ff: f64, input_slew_ns: f64) -> StageDelay {
+        let c = load_ff + self.self_cap_ff;
+        let (rn, rp) = (self.rn_kohm, self.rp_kohm);
+        let slew_term = SLEW_TO_DELAY * input_slew_ns;
+        let tphl = self.intrinsic_ns + rn * c * 1e-3 + slew_term;
+        let tplh = self.intrinsic_ns + rp * c * 1e-3 + slew_term;
+        StageDelay {
+            tphl_ns: tphl,
+            tplh_ns: tplh,
+            slew_fall_ns: SLEW_GAIN * rn * c * 1e-3,
+            slew_rise_ns: SLEW_GAIN * rp * c * 1e-3,
+        }
+    }
+}
+
 impl StageParams {
     /// Creates a stage with no intrinsic offset.
     pub fn new(wn_nm: f64, wp_nm: f64, l_nm: f64) -> Self {
@@ -123,17 +153,18 @@ impl StageParams {
     /// Evaluates the stage: propagation delays and output slews for the
     /// given external load and input transition time.
     pub fn evaluate(&self, tech: &Technology, load_ff: f64, input_slew_ns: f64) -> StageDelay {
-        let c = load_ff + self.self_cap_ff(tech);
-        let rn = tech.reff_n_kohm(self.wn_nm, self.l_nm);
-        let rp = tech.reff_p_kohm(self.wp_nm, self.l_nm);
-        let slew_term = SLEW_TO_DELAY * input_slew_ns;
-        let tphl = self.intrinsic_ns + rn * c * 1e-3 + slew_term;
-        let tplh = self.intrinsic_ns + rp * c * 1e-3 + slew_term;
-        StageDelay {
-            tphl_ns: tphl,
-            tplh_ns: tplh,
-            slew_fall_ns: SLEW_GAIN * rn * c * 1e-3,
-            slew_rise_ns: SLEW_GAIN * rp * c * 1e-3,
+        self.drive(tech).evaluate(load_ff, input_slew_ns)
+    }
+
+    /// The part of [`StageParams::evaluate`] that depends on the stage's
+    /// geometry alone: its drive resistances (the device model's
+    /// threshold and drive-current evaluations) and self-loading.
+    pub fn drive(&self, tech: &Technology) -> StageDrive {
+        StageDrive {
+            rn_kohm: tech.reff_n_kohm(self.wn_nm, self.l_nm),
+            rp_kohm: tech.reff_p_kohm(self.wp_nm, self.l_nm),
+            self_cap_ff: self.self_cap_ff(tech),
+            intrinsic_ns: self.intrinsic_ns,
         }
     }
 

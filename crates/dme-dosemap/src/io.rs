@@ -16,7 +16,7 @@ use std::fmt::Write as _;
 pub enum ParseDoseMapError {
     /// The geometry header is missing or malformed.
     BadHeader(String),
-    /// A dose value failed to parse.
+    /// A dose value failed to parse or is not finite.
     Number {
         /// 1-based data-row number.
         row: usize,
@@ -75,14 +75,24 @@ pub fn write_dose_map(map: &DoseMap) -> String {
 
 /// Parses the output of [`write_dose_map`].
 ///
+/// Never panics: every `Ok` map has at least one grid cell, a finite,
+/// positive field size, and a finite dose in every cell.
+///
 /// # Errors
 ///
-/// Returns a [`ParseDoseMapError`] on header, numeric or shape problems.
+/// Returns a [`ParseDoseMapError`] on header, numeric or shape problems:
+/// - [`ParseDoseMapError::BadHeader`] when a key is missing or malformed,
+///   `cols` or `rows` is zero, `width_um` or `height_um` is not finite
+///   and positive, or the four values describe no consistent grid;
+/// - [`ParseDoseMapError::Number`] for a dose that does not parse or is
+///   not finite (`NaN`, `inf`);
+/// - [`ParseDoseMapError::Shape`] when the rows do not match the header.
 pub fn parse_dose_map(text: &str) -> Result<DoseMap, ParseDoseMapError> {
     let mut lines = text.lines().filter(|l| !l.trim().is_empty());
     let header = lines
         .next()
         .ok_or_else(|| ParseDoseMapError::BadHeader("<empty>".into()))?;
+    let bad_header = || ParseDoseMapError::BadHeader(header.to_string());
     let mut cols = None;
     let mut rows = None;
     let mut width = None;
@@ -98,18 +108,23 @@ pub fn parse_dose_map(text: &str) -> Result<DoseMap, ParseDoseMapError> {
         }
     }
     let (Some(cols), Some(rows), Some(width), Some(height)) = (cols, rows, width, height) else {
-        return Err(ParseDoseMapError::BadHeader(header.to_string()));
+        return Err(bad_header());
     };
+    let positive = |v: f64| v.is_finite() && v > 0.0;
+    if cols == 0 || rows == 0 || !positive(width) || !positive(height) {
+        return Err(bad_header());
+    }
     // with_granularity ceils width/g; passing exactly width/cols can land
     // on 49.000000000000007 and ceil to cols+1, so widen by one ulp-scale
     // epsilon. A remaining mismatch means the header is inconsistent.
     let g = (width / cols as f64).max(1e-9) * (1.0 + 1e-12);
     let grid = DoseGrid::with_granularity(width, height, g);
-    if grid.cols() != cols || grid.rows() != rows {
-        return Err(ParseDoseMapError::BadHeader(header.to_string()));
+    if grid.cols() != cols || grid.rows() != rows || cols.checked_mul(rows).is_none() {
+        return Err(bad_header());
     }
-    let mut dose = vec![0.0f64; cols * rows];
-    let mut nrows = 0usize;
+    // Filled row by row (row-major, as `DoseGrid::index` lays cells out),
+    // so memory follows the text actually read, not the header's claim.
+    let mut dose = Vec::new();
     for (ri, line) in lines.enumerate() {
         if ri >= rows {
             return Err(ParseDoseMapError::Shape {
@@ -124,14 +139,19 @@ pub fn parse_dose_map(text: &str) -> Result<DoseMap, ParseDoseMapError> {
                 cols: vals.len(),
             });
         }
-        for (ci, v) in vals.iter().enumerate() {
-            dose[grid.index(ci, ri)] = v.parse::<f64>().map_err(|_| ParseDoseMapError::Number {
-                row: ri + 1,
-                token: v.to_string(),
-            })?;
+        for v in vals {
+            match v.parse::<f64>() {
+                Ok(d) if d.is_finite() => dose.push(d),
+                _ => {
+                    return Err(ParseDoseMapError::Number {
+                        row: ri + 1,
+                        token: v.to_string(),
+                    })
+                }
+            }
         }
-        nrows += 1;
     }
+    let nrows = dose.len() / cols;
     if nrows != rows {
         return Err(ParseDoseMapError::Shape { rows: nrows, cols });
     }
@@ -213,5 +233,58 @@ mod tests {
             parse_dose_map(""),
             Err(ParseDoseMapError::BadHeader(_))
         ));
+    }
+
+    /// The sample map's text with its header replaced.
+    fn with_header(header: &str) -> String {
+        let text = write_dose_map(&sample());
+        let body: Vec<&str> = text.lines().skip(1).collect();
+        format!("{header}\n{}\n", body.join("\n"))
+    }
+
+    #[test]
+    fn non_positive_or_non_finite_field_is_a_header_error() {
+        for header in [
+            "# dosemap cols=4 rows=3 width_um=-4 height_um=30.0000",
+            "# dosemap cols=4 rows=3 width_um=NaN height_um=30.0000",
+            "# dosemap cols=4 rows=3 width_um=40.0000 height_um=inf",
+            "# dosemap cols=4 rows=3 width_um=40.0000 height_um=0",
+        ] {
+            assert!(
+                matches!(
+                    parse_dose_map(&with_header(header)),
+                    Err(ParseDoseMapError::BadHeader(_))
+                ),
+                "{header}"
+            );
+        }
+    }
+
+    #[test]
+    fn empty_grid_is_a_header_error() {
+        assert!(matches!(
+            parse_dose_map("# dosemap cols=0 rows=0 width_um=40.0000 height_um=30.0000\n"),
+            Err(ParseDoseMapError::BadHeader(_))
+        ));
+        assert!(matches!(
+            parse_dose_map(&with_header(
+                "# dosemap cols=4 rows=0 width_um=40.0000 height_um=30.0000"
+            )),
+            Err(ParseDoseMapError::BadHeader(_))
+        ));
+    }
+
+    #[test]
+    fn non_finite_doses_are_number_errors() {
+        for bad in ["NaN", "inf", "-inf"] {
+            let text = write_dose_map(&sample()).replace("-1.5000", bad);
+            assert_eq!(
+                parse_dose_map(&text),
+                Err(ParseDoseMapError::Number {
+                    row: 1,
+                    token: bad.to_string()
+                })
+            );
+        }
     }
 }

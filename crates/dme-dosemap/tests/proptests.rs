@@ -154,3 +154,95 @@ proptest! {
         prop_assert!((back - d).abs() < 1e-12);
     }
 }
+
+/// What a dose-map CSV mutation may put in place of a token.
+const BAD_TOKENS: [&str; 10] = [
+    "NaN",
+    "inf",
+    "-inf",
+    "-4",
+    "0",
+    "",
+    "1e-300",
+    "1e300",
+    "18446744073709551615",
+    "%&garbage",
+];
+
+/// Replaces one field of a dose-map CSV line: a header token (its value,
+/// for `numeric_only`) or one comma-separated dose.
+fn replace_field(line: &str, numeric_only: bool, arg: usize) -> String {
+    let bad = |k: usize| BAD_TOKENS[k % BAD_TOKENS.len()];
+    if line.starts_with('#') {
+        let mut toks: Vec<String> = line.split_whitespace().map(String::from).collect();
+        let targets: Vec<usize> = (0..toks.len())
+            .filter(|&j| !numeric_only || toks[j].contains('='))
+            .collect();
+        if let Some(&j) = targets.get(arg % targets.len().max(1)) {
+            let rep = bad(arg / targets.len());
+            toks[j] = match toks[j].split_once('=') {
+                Some((key, _)) if numeric_only => format!("{key}={rep}"),
+                _ => rep.to_string(),
+            };
+        }
+        toks.join(" ")
+    } else {
+        let mut fields: Vec<&str> = line.split(',').collect();
+        let j = arg % fields.len();
+        fields[j] = bad(arg / fields.len());
+        fields.join(",")
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// The dose-map reader never panics on a mutated file: lines dropped,
+    /// duplicated or truncated, and fields (any, or a header value)
+    /// replaced. Whatever it accepts is a non-empty grid of finite doses
+    /// over a finite, positive field.
+    #[test]
+    fn dose_map_reader_survives_mutations(
+        cols in 1usize..6,
+        rows in 1usize..6,
+        g in 1.0f64..20.0,
+        seed in any::<u64>(),
+        edits in proptest::collection::vec((0u32..5, any::<u32>(), any::<u32>()), 1..4),
+    ) {
+        let grid = DoseGrid::with_granularity(cols as f64 * g, rows as f64 * g, g);
+        let vals = (0..grid.num_cells())
+            .map(|i| ((seed ^ (i as u64).wrapping_mul(0x9E37_79B9)) % 1000) as f64 / 100.0 - 5.0)
+            .collect();
+        let text = dme_dosemap::io::write_dose_map(&DoseMap::from_values(grid, vals));
+        let mut lines: Vec<String> = text.lines().map(String::from).collect();
+        for (kind, at, arg) in edits {
+            if lines.is_empty() {
+                break;
+            }
+            let i = at as usize % lines.len();
+            match kind {
+                0 => {
+                    lines.remove(i);
+                }
+                1 => {
+                    let line = lines[i].clone();
+                    lines.insert(i, line);
+                }
+                2 => {
+                    let keep = arg as usize % (lines[i].chars().count() + 1);
+                    lines[i] = lines[i].chars().take(keep).collect();
+                }
+                _ => lines[i] = replace_field(&lines[i], kind == 4, arg as usize),
+            }
+        }
+        if let Ok(map) = dme_dosemap::io::parse_dose_map(&lines.join("\n")) {
+            let g = &map.grid;
+            prop_assert!(g.cols() >= 1 && g.rows() >= 1, "empty grid");
+            prop_assert_eq!(map.dose_pct.len(), g.num_cells());
+            prop_assert!(map.dose_pct.iter().all(|d| d.is_finite()));
+            for v in [g.width_um(), g.height_um(), g.pitch_x_um(), g.pitch_y_um()] {
+                prop_assert!(v.is_finite() && v > 0.0, "dimension {}", v);
+            }
+        }
+    }
+}

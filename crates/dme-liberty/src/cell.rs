@@ -2,7 +2,7 @@
 
 use crate::library::TableAxes;
 use crate::table::Table2d;
-use dme_device::{StageParams, Technology};
+use dme_device::{StageDrive, StageParams, Technology};
 
 /// Logic function of a cell master.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -148,6 +148,27 @@ impl CellFunction {
             CellFunction::Sdff => "SDFF".into(),
         }
     }
+}
+
+/// Runs a stage chain ([`CellMaster::evaluate`]'s loop): delays add up,
+/// and each stage sees the previous one's mean output slew.
+fn run_chain(
+    chain: impl Iterator<Item = (StageDrive, Option<f64>)>,
+    load_ff: f64,
+    input_slew_ns: f64,
+) -> (f64, f64, f64, f64) {
+    let mut rise = 0.0;
+    let mut fall = 0.0;
+    let mut slew = input_slew_ns;
+    let mut out = (0.0, 0.0);
+    for (drive, inner_load) in chain {
+        let d = drive.evaluate(inner_load.unwrap_or(load_ff), slew);
+        rise += d.tplh_ns;
+        fall += d.tphl_ns;
+        slew = 0.5 * (d.slew_rise_ns + d.slew_fall_ns);
+        out = (d.slew_rise_ns, d.slew_fall_ns);
+    }
+    (rise, fall, out.0, out.1)
 }
 
 /// Series-stack leakage suppression: each extra series device cuts the
@@ -309,30 +330,30 @@ impl CellMaster {
         load_ff: f64,
         input_slew_ns: f64,
     ) -> (f64, f64, f64, f64) {
-        let mut rise = 0.0;
-        let mut fall = 0.0;
-        let mut slew = input_slew_ns;
-        let mut out = (0.0, 0.0);
-        for (i, st) in self.stages.iter().enumerate() {
+        run_chain(self.chain(tech, dl_nm, dw_nm), load_ff, input_slew_ns)
+    }
+
+    /// The stage chain at geometry deltas: each stage's drive at the
+    /// shifted length and widths, with the load an inner stage drives
+    /// (the next stage's gate cap; `None` for the last stage, which
+    /// drives the output load).
+    fn chain<'s>(
+        &'s self,
+        tech: &'s Technology,
+        dl_nm: f64,
+        dw_nm: f64,
+    ) -> impl Iterator<Item = (StageDrive, Option<f64>)> + 's {
+        self.stages.iter().enumerate().map(move |(i, st)| {
             let mut s = st.clone();
             s.l_nm = tech.lnom_nm + dl_nm;
             s.wn_nm += dw_nm;
             s.wp_nm += dw_nm;
-            let load = if i + 1 == self.stages.len() {
-                load_ff
-            } else {
-                // Internal node: next stage's gate cap.
-                let nx = &self.stages[i + 1];
+            let inner_load = self.stages.get(i + 1).map(|nx| {
                 tech.gate_cap_ff(nx.wn_nm + dw_nm, s.l_nm)
                     + tech.gate_cap_ff(nx.wp_nm + dw_nm, s.l_nm)
-            };
-            let d = s.evaluate(tech, load, slew);
-            rise += d.tplh_ns;
-            fall += d.tphl_ns;
-            slew = 0.5 * (d.slew_rise_ns + d.slew_fall_ns);
-            out = (d.slew_rise_ns, d.slew_fall_ns);
-        }
-        (rise, fall, out.0, out.1)
+            });
+            (s.drive(tech), inner_load)
+        })
     }
 
     /// Flip-flop setup time in ns (sequential cells only; zero otherwise).
@@ -356,7 +377,10 @@ impl CellMaster {
     }
 
     /// Characterizes the master at geometry deltas `(dl_nm, dw_nm)`,
-    /// producing the four NLDM tables.
+    /// producing the four NLDM tables. The stage drives are computed once
+    /// per variant, the chain is evaluated once per grid point, and that
+    /// one evaluation fills all four tables — bit for bit what
+    /// [`CellMaster::evaluate`] returns at each point.
     pub fn characterize(
         &self,
         tech: &Technology,
@@ -364,18 +388,20 @@ impl CellMaster {
         dw_nm: f64,
         axes: &TableAxes,
     ) -> CellTables {
-        let delay_rise = Table2d::tabulate(&axes.slew_ns, &axes.load_ff, |s, c| {
-            self.evaluate(tech, dl_nm, dw_nm, c, s).0
-        });
-        let delay_fall = Table2d::tabulate(&axes.slew_ns, &axes.load_ff, |s, c| {
-            self.evaluate(tech, dl_nm, dw_nm, c, s).1
-        });
-        let slew_rise = Table2d::tabulate(&axes.slew_ns, &axes.load_ff, |s, c| {
-            self.evaluate(tech, dl_nm, dw_nm, c, s).2
-        });
-        let slew_fall = Table2d::tabulate(&axes.slew_ns, &axes.load_ff, |s, c| {
-            self.evaluate(tech, dl_nm, dw_nm, c, s).3
-        });
+        let chain: Vec<_> = self.chain(tech, dl_nm, dw_nm).collect();
+        let points = axes.slew_ns.len() * axes.load_ff.len();
+        let mut out: [Vec<f64>; 4] = std::array::from_fn(|_| Vec::with_capacity(points));
+        for &s in &axes.slew_ns {
+            for &c in &axes.load_ff {
+                let (dr, df, sr, sf) = run_chain(chain.iter().copied(), c, s);
+                out[0].push(dr);
+                out[1].push(df);
+                out[2].push(sr);
+                out[3].push(sf);
+            }
+        }
+        let [delay_rise, delay_fall, slew_rise, slew_fall] =
+            out.map(|values| Table2d::from_values(&axes.slew_ns, &axes.load_ff, values));
         CellTables {
             delay_rise,
             delay_fall,
@@ -506,6 +532,36 @@ mod tests {
         assert!((tables.delay_rise.lookup(s, l) - direct.0).abs() < 1e-12);
         assert!((tables.delay_fall.lookup(s, l) - direct.1).abs() < 1e-12);
         assert!((tables.slew_fall.lookup(s, l) - direct.3).abs() < 1e-12);
+        // Bit for bit, at every grid point, for every master of both
+        // libraries at several geometries: one evaluation per point
+        // fills all four tables.
+        for tech in [Technology::n65(), Technology::n90()] {
+            let lib = crate::Library::standard(tech);
+            let (t, axes) = (lib.tech(), lib.axes());
+            for cell in lib.cells() {
+                for (dl, dw) in [(0.0, 0.0), (-10.0, 0.0), (4.5, -3.0), (-2.3, 10.0)] {
+                    let tables = cell.characterize(t, dl, dw, axes);
+                    for (i, &s) in axes.slew_ns.iter().enumerate() {
+                        for (j, &c) in axes.load_ff.iter().enumerate() {
+                            let (dr, df, sr, sf) = cell.evaluate(t, dl, dw, c, s);
+                            for (table, v) in [
+                                (&tables.delay_rise, dr),
+                                (&tables.delay_fall, df),
+                                (&tables.slew_rise, sr),
+                                (&tables.slew_fall, sf),
+                            ] {
+                                assert_eq!(
+                                    table.at(i, j).to_bits(),
+                                    v.to_bits(),
+                                    "{} at ΔL {dl} ΔW {dw}, point ({i}, {j})",
+                                    cell.name()
+                                );
+                            }
+                        }
+                    }
+                }
+            }
+        }
     }
 
     #[test]

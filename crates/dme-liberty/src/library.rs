@@ -3,7 +3,6 @@
 use crate::cell::{CellFunction, CellMaster, CellTables};
 use dme_device::Technology;
 use std::collections::HashMap;
-use std::sync::{Arc, RwLock};
 
 /// The slew/load grid shared by all NLDM tables in a library.
 #[derive(Debug, Clone, PartialEq)]
@@ -153,14 +152,17 @@ impl Library {
 ///
 /// Deltas are quantized to 0.1 nm before keying, comfortably finer than
 /// the 1 nm (0.5% dose) characterization step.
+///
+/// The cache is a plain arena: [`VariantCache::resolve`] maps a key to a
+/// dense variant id (characterizing on first use) through `&mut self`,
+/// and [`VariantCache::get`] reads the tables of an id through `&self`.
+/// A timing pass resolves every instance's id once, serially, and its
+/// parallel level loops then share `&CellTables` with no lock.
 #[derive(Debug)]
 pub struct VariantCache<'a> {
     library: &'a Library,
-    /// Read-mostly: after warm-up every STA pass is pure lookups, so a
-    /// `RwLock` lets the level-parallel timing workers share the cache
-    /// without serializing on a mutex. Values are `Arc`s so a hit hands
-    /// out a pointer instead of cloning the tables.
-    cache: RwLock<HashMap<(usize, i64, i64), Arc<CellTables>>>,
+    ids: HashMap<(usize, i64, i64), u32>,
+    tables: Vec<CellTables>,
 }
 
 impl<'a> VariantCache<'a> {
@@ -168,43 +170,55 @@ impl<'a> VariantCache<'a> {
     pub fn new(library: &'a Library) -> Self {
         Self {
             library,
-            cache: RwLock::new(HashMap::new()),
+            ids: HashMap::new(),
+            tables: Vec::new(),
         }
     }
 
-    fn key(dl_nm: f64, dw_nm: f64) -> (i64, i64) {
-        ((dl_nm * 10.0).round() as i64, (dw_nm * 10.0).round() as i64)
+    /// Id of cell `idx`'s variant at geometry deltas, characterizing it on
+    /// first use. Deltas are quantized to 0.1 nm; ids count up from 0 in
+    /// first-use order.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `dl_nm` or `dw_nm` is not finite (NaN would otherwise
+    /// quantize silently to the nominal variant), or if `idx` is not a
+    /// master of the library.
+    pub fn resolve(&mut self, idx: usize, dl_nm: f64, dw_nm: f64) -> u32 {
+        assert!(
+            dl_nm.is_finite() && dw_nm.is_finite(),
+            "non-finite geometry delta for cell master {idx}: ΔL {dl_nm} nm, ΔW {dw_nm} nm"
+        );
+        let (kl, kw) = ((dl_nm * 10.0).round() as i64, (dw_nm * 10.0).round() as i64);
+        let next = self.tables.len();
+        *self.ids.entry((idx, kl, kw)).or_insert_with(|| {
+            self.tables.push(self.library.cell(idx).characterize(
+                self.library.tech(),
+                kl as f64 / 10.0,
+                kw as f64 / 10.0,
+                self.library.axes(),
+            ));
+            u32::try_from(next).expect("variant ids fit in u32")
+        })
     }
 
-    /// Tables for cell `idx` at geometry deltas, characterizing on first
-    /// use. Deltas are quantized to 0.1 nm.
-    pub fn tables(&self, idx: usize, dl_nm: f64, dw_nm: f64) -> Arc<CellTables> {
-        let (kl, kw) = Self::key(dl_nm, dw_nm);
-        let key = (idx, kl, kw);
-        if let Some(hit) = self.cache.read().expect("variant cache poisoned").get(&key) {
-            return Arc::clone(hit);
-        }
-        // Characterize outside any lock: concurrent misses may duplicate
-        // the work, but the first writer wins and the result is identical
-        // (characterization is deterministic in the quantized key).
-        let tables = Arc::new(self.library.cell(idx).characterize(
-            self.library.tech(),
-            kl as f64 / 10.0,
-            kw as f64 / 10.0,
-            self.library.axes(),
-        ));
-        let mut cache = self.cache.write().expect("variant cache poisoned");
-        Arc::clone(cache.entry(key).or_insert(tables))
+    /// Tables of a variant id returned by [`VariantCache::resolve`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if `id` was not handed out by this cache.
+    pub fn get(&self, id: u32) -> &CellTables {
+        &self.tables[id as usize]
     }
 
     /// Number of distinct characterized variants held.
     pub fn len(&self) -> usize {
-        self.cache.read().expect("variant cache poisoned").len()
+        self.tables.len()
     }
 
     /// Whether the cache is empty.
     pub fn is_empty(&self) -> bool {
-        self.len() == 0
+        self.tables.is_empty()
     }
 }
 
@@ -234,23 +248,44 @@ mod tests {
     #[test]
     fn variant_cache_hits_after_first_characterization() {
         let lib = Library::standard(Technology::n65());
-        let cache = VariantCache::new(&lib);
+        let mut cache = VariantCache::new(&lib);
         assert!(cache.is_empty());
-        let a = cache.tables(0, -2.0, 0.0);
+        let a = cache.resolve(0, -2.0, 0.0);
         assert_eq!(cache.len(), 1);
-        let b = cache.tables(0, -2.04, 0.0); // quantizes to the same key
+        let b = cache.resolve(0, -2.04, 0.0); // quantizes to the same key
         assert_eq!(cache.len(), 1);
         assert_eq!(a, b);
-        let _ = cache.tables(0, -3.0, 0.0);
+        let c = cache.resolve(0, -3.0, 0.0);
         assert_eq!(cache.len(), 2);
+        assert_ne!(a, c);
+        // The arena holds exactly what characterization produces at the
+        // quantized key.
+        let direct = lib.cell(0).characterize(lib.tech(), -2.0, 0.0, lib.axes());
+        assert_eq!(cache.get(a), &direct);
     }
 
     #[test]
     fn variants_differ_by_geometry() {
         let lib = Library::standard(Technology::n65());
-        let cache = VariantCache::new(&lib);
-        let nominal = cache.tables(0, 0.0, 0.0);
-        let short = cache.tables(0, -10.0, 0.0);
-        assert!(short.delay_worst(0.02, 2.0) < nominal.delay_worst(0.02, 2.0));
+        let mut cache = VariantCache::new(&lib);
+        let nominal = cache.resolve(0, 0.0, 0.0);
+        let short = cache.resolve(0, -10.0, 0.0);
+        assert!(
+            cache.get(short).delay_worst(0.02, 2.0) < cache.get(nominal).delay_worst(0.02, 2.0)
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "non-finite geometry delta")]
+    fn nan_length_delta_is_rejected() {
+        let lib = Library::standard(Technology::n65());
+        VariantCache::new(&lib).resolve(0, f64::NAN, 0.0);
+    }
+
+    #[test]
+    #[should_panic(expected = "non-finite geometry delta")]
+    fn infinite_width_delta_is_rejected() {
+        let lib = Library::standard(Technology::n65());
+        VariantCache::new(&lib).resolve(0, 0.0, f64::INFINITY);
     }
 }

@@ -39,6 +39,24 @@ impl Table2d {
         load_axis: &[f64],
         mut f: F,
     ) -> Self {
+        let mut values = Vec::with_capacity(slew_axis.len() * load_axis.len());
+        for &s in slew_axis {
+            for &c in load_axis {
+                values.push(f(s, c));
+            }
+        }
+        Self::from_values(slew_axis, load_axis, values)
+    }
+
+    /// Builds a table from values already computed at every grid point,
+    /// row-major: `values[slew_index * load_axis.len() + load_index]` —
+    /// the order [`Table2d::tabulate`] evaluates in.
+    ///
+    /// # Panics
+    ///
+    /// Panics if either axis has fewer than two points or is not strictly
+    /// increasing, or if `values` does not hold one entry per grid point.
+    pub fn from_values(slew_axis: &[f64], load_axis: &[f64], values: Vec<f64>) -> Self {
         assert!(
             slew_axis.len() >= 2 && load_axis.len() >= 2,
             "axes need ≥ 2 points"
@@ -48,12 +66,11 @@ impl Table2d {
                 assert!(w[1] > w[0], "table axis must be strictly increasing");
             }
         }
-        let mut values = Vec::with_capacity(slew_axis.len() * load_axis.len());
-        for &s in slew_axis {
-            for &c in load_axis {
-                values.push(f(s, c));
-            }
-        }
+        assert_eq!(
+            values.len(),
+            slew_axis.len() * load_axis.len(),
+            "one value per grid point"
+        );
         Self {
             slew_axis: slew_axis.to_vec(),
             load_axis: load_axis.to_vec(),

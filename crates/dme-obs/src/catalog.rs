@@ -324,12 +324,24 @@ pub const METRICS: &[MetricInfo] = &[
     ),
     s("flow/dosepl", "dose-aware detailed placement (swap rounds)"),
     s(
+        "flow/dosepl/entry_boxes",
+        "dosePl entry: swap scratch (net-box cache and row index, or the reference pin lists)",
+    ),
+    s(
+        "flow/dosepl/entry_grid",
+        "dosePl entry: cell-to-dose-grid index and round scratch",
+    ),
+    s(
         "flow/dosepl/entry_sta",
         "entry full STA cross-check of the incremental timer (debug builds only)",
     ),
     s(
         "flow/dosepl/entry_sta/sta_analyze",
         "full STA at dosePl entry",
+    ),
+    s(
+        "flow/dosepl/entry_timer",
+        "dosePl entry: incremental timer build (one full level-parallel late pass)",
     ),
     s("flow/dosepl/round", "one swap round"),
     s("flow/dosepl/round/enumerate", "candidate pair enumeration"),

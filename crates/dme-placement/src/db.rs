@@ -52,6 +52,39 @@ impl fmt::Display for LegalityError {
 
 impl Error for LegalityError {}
 
+/// Per net, the position of its pad in `Netlist::primary_inputs` (and so
+/// in [`Placement::pi_pos`]), built once in O(nets + PIs) so that per-net
+/// work never scans the PI list. A net listed more than once keeps its
+/// first occurrence, as [`Placement::pi_pad`]'s scan does. Four bytes per
+/// net.
+#[derive(Debug, Clone)]
+pub struct PadIndex {
+    slot: Vec<u32>,
+}
+
+impl PadIndex {
+    const NONE: u32 = u32::MAX;
+
+    /// Indexes the primary inputs of a netlist.
+    pub fn build(nl: &Netlist) -> Self {
+        let mut slot = vec![Self::NONE; nl.num_nets()];
+        for (j, &pi) in nl.primary_inputs.iter().enumerate() {
+            let s = &mut slot[pi.0 as usize];
+            if *s == Self::NONE {
+                *s = u32::try_from(j).expect("PI indexes fit in u32");
+            }
+        }
+        Self { slot }
+    }
+
+    /// Index of the net's pad in `Netlist::primary_inputs`, if it is a
+    /// primary input.
+    pub fn pad_of(&self, net: NetId) -> Option<usize> {
+        let s = self.slot[net.0 as usize];
+        (s != Self::NONE).then_some(s as usize)
+    }
+}
+
 /// Die geometry plus per-instance lower-left coordinates (µm).
 #[derive(Debug, Clone, PartialEq)]
 pub struct Placement {
@@ -118,6 +151,47 @@ impl Placement {
     /// Half-perimeter wirelength of one net, µm.
     pub fn net_hpwl(&self, lib: &Library, nl: &Netlist, net: NetId) -> f64 {
         BoundingBox::of_points(&self.net_pins(lib, nl, net)).map_or(0.0, |b| b.half_perimeter())
+    }
+
+    /// [`Placement::net_hpwl`] with the pad looked up in a prebuilt
+    /// [`PadIndex`] and the box folded in place, in the pin order of
+    /// [`Placement::net_pins`] (driver, pad, sinks): O(pins), no
+    /// allocation, and bit-identical to `net_hpwl`.
+    pub fn net_hpwl_indexed(
+        &self,
+        lib: &Library,
+        nl: &Netlist,
+        pads: &PadIndex,
+        net: NetId,
+    ) -> f64 {
+        let n = nl.net(net);
+        let mut bb: Option<BoundingBox> = None;
+        let mut push = |(x, y): (f64, f64)| match &mut bb {
+            None => {
+                bb = Some(BoundingBox {
+                    x_min: x,
+                    x_max: x,
+                    y_min: y,
+                    y_max: y,
+                })
+            }
+            Some(b) => {
+                b.x_min = b.x_min.min(x);
+                b.x_max = b.x_max.max(x);
+                b.y_min = b.y_min.min(y);
+                b.y_max = b.y_max.max(y);
+            }
+        };
+        if let Some(drv) = n.driver {
+            push(self.center(lib, nl, drv));
+        }
+        if let Some(j) = pads.pad_of(net) {
+            push(self.pi_pos[j]);
+        }
+        for &(sink, _) in &n.sinks {
+            push(self.center(lib, nl, sink));
+        }
+        bb.map_or(0.0, |b| b.half_perimeter())
     }
 
     /// Total HPWL over all nets, µm.
@@ -465,4 +539,67 @@ impl Placement {
 /// flooring down a whole site.
 pub(crate) fn snap(x: f64, site: f64) -> f64 {
     (x / site + 1e-6).floor() * site
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use dme_device::Technology;
+    use dme_netlist::{gen, profiles, DesignProfile};
+
+    /// Every net's in-place box equals the `net_pins` + `of_points` one
+    /// bit for bit.
+    fn assert_indexed_hpwl_matches(lib: &Library, nl: &Netlist, p: &Placement) {
+        let pads = PadIndex::build(nl);
+        for i in 0..nl.num_nets() as u32 {
+            let net = NetId(i);
+            assert_eq!(pads.pad_of(net).map(|j| p.pi_pos[j]), p.pi_pad(nl, net));
+            assert_eq!(
+                p.net_hpwl_indexed(lib, nl, &pads, net).to_bits(),
+                p.net_hpwl(lib, nl, net).to_bits(),
+                "net {i}"
+            );
+        }
+    }
+
+    fn placed(profile: &DesignProfile) -> (Library, dme_netlist::Design, Placement) {
+        let lib = Library::standard(Technology::n65());
+        let d = gen::generate(profile, &lib);
+        let p = crate::place(&d, &lib);
+        (lib, d, p)
+    }
+
+    #[test]
+    fn indexed_hpwl_matches_net_hpwl_bitwise() {
+        for profile in [
+            profiles::tiny(),
+            profiles::small(),
+            profiles::scaling(5000, 8),
+        ] {
+            let (lib, d, p) = placed(&profile);
+            assert_indexed_hpwl_matches(&lib, &d.netlist, &p);
+        }
+    }
+
+    #[test]
+    fn indexed_hpwl_follows_the_pi_list_order() {
+        // Reversed, the pad index of a PI net no longer follows its net id.
+        let (lib, mut d, p) = placed(&profiles::tiny());
+        d.netlist.primary_inputs.reverse();
+        assert!(d.netlist.primary_inputs.len() > 1);
+        assert_indexed_hpwl_matches(&lib, &d.netlist, &p);
+    }
+
+    #[test]
+    fn indexed_hpwl_keeps_the_first_of_a_repeated_pi() {
+        // A PI net listed twice takes its first pad; the second sits in
+        // the far corner, so the wrong one would change the box.
+        let (lib, mut d, mut p) = placed(&profiles::tiny());
+        let again = d.netlist.primary_inputs[1];
+        d.netlist.primary_inputs.push(again);
+        p.pi_pos.push((p.die_w_um, p.die_h_um));
+        let pads = PadIndex::build(&d.netlist);
+        assert_eq!(pads.pad_of(again), Some(1));
+        assert_indexed_hpwl_matches(&lib, &d.netlist, &p);
+    }
 }

@@ -97,6 +97,13 @@ fn parse_f64(line: usize, tok: &str) -> Result<f64, ParseDefError> {
     Ok(v)
 }
 
+/// Most rows a parsed die may hold. A die height over row height above
+/// this is a [`ParseDefError::Syntax`] error: it keeps
+/// [`Placement::num_rows`], and every per-row table the legality check
+/// and the ECO repacker allocate, bounded. 2^20 rows is about three
+/// orders of magnitude above the row count of a 1M-cell die.
+pub const MAX_ROWS: usize = 1 << 20;
+
 /// A die, row or site dimension: finite and positive.
 fn parse_length(line: usize, tok: &str) -> Result<f64, ParseDefError> {
     let v = parse_f64(line, tok)?;
@@ -117,7 +124,9 @@ fn parse_length(line: usize, tok: &str) -> Result<f64, ParseDefError> {
 /// Returns a [`ParseDefError`] for malformed records, unknown instances
 /// or incomplete placements. A non-finite coordinate, or a die, row or
 /// site dimension that is not finite and positive, is a
-/// [`ParseDefError::Syntax`] error at its line.
+/// [`ParseDefError::Syntax`] error at its line, as is a die more than
+/// [`MAX_ROWS`] rows high (reported at the later of its `DIEAREA` and
+/// `ROWHEIGHT` lines).
 pub fn parse_placement(text: &str, nl: &Netlist) -> Result<Placement, ParseDefError> {
     let name_to_id: HashMap<&str, usize> = nl
         .instances
@@ -129,7 +138,9 @@ pub fn parse_placement(text: &str, nl: &Netlist) -> Result<Placement, ParseDefEr
     let mut x = vec![f64::NAN; n];
     let mut y = vec![f64::NAN; n];
     let mut die: Option<(f64, f64)> = None;
+    let mut die_line = 0;
     let mut row_h = 1.0;
+    let mut row_line = 0;
     let mut site = 0.2;
 
     for (lineno, raw) in text.lines().enumerate() {
@@ -142,8 +153,10 @@ pub fn parse_placement(text: &str, nl: &Netlist) -> Result<Placement, ParseDefEr
                 return Err(ParseDefError::MissingDieArea);
             }
             die = Some((parse_length(line, toks[6])?, parse_length(line, toks[7])?));
+            die_line = line;
         } else if l.starts_with("ROWHEIGHT") {
             row_h = parse_length(line, toks.get(1).copied().unwrap_or(""))?;
+            row_line = line;
         } else if l.starts_with("SITEWIDTH") {
             site = parse_length(line, toks.get(1).copied().unwrap_or(""))?;
         } else if l.starts_with("- ") {
@@ -165,6 +178,14 @@ pub fn parse_placement(text: &str, nl: &Netlist) -> Result<Placement, ParseDefEr
         }
     }
     let (die_w, die_h) = die.ok_or(ParseDefError::MissingDieArea)?;
+    if die_h / row_h > MAX_ROWS as f64 {
+        return Err(ParseDefError::Syntax {
+            line: die_line.max(row_line),
+            message: format!(
+                "die height {die_h} µm over row height {row_h} µm exceeds {MAX_ROWS} rows"
+            ),
+        });
+    }
     let missing = x.iter().filter(|v| v.is_nan()).count();
     if missing > 0 {
         return Err(ParseDefError::MissingInstances { count: missing });
@@ -290,6 +311,36 @@ mod tests {
     fn negative_or_infinite_row_height_is_rejected() {
         assert_syntax_error_at("ROWHEIGHT", "ROWHEIGHT -1.8 ;");
         assert_syntax_error_at("ROWHEIGHT", "ROWHEIGHT inf ;");
+    }
+
+    #[test]
+    fn tiny_row_height_is_rejected() {
+        // 1e-300 µm is positive and finite, but the die would hold
+        // ~1e300 rows: `num_rows` saturates and the legality check's
+        // per-row table cannot be allocated.
+        assert_syntax_error_at("ROWHEIGHT", "ROWHEIGHT 1e-300 ;");
+        assert_syntax_error_at("ROWHEIGHT", "ROWHEIGHT 1.0e-6 ;");
+        // A tall die goes over the cap too; the row count is known at
+        // the ROWHEIGHT record, which follows DIEAREA.
+        let tall = format!("DIEAREA ( 0 0 ) ( 50 {} ) ;", 4.0 * MAX_ROWS as f64);
+        let (text, die_line, nl) = with_line("DIEAREA", &tall);
+        match parse_placement(&text, &nl) {
+            Err(ParseDefError::Syntax { line, .. }) => assert_eq!(line, die_line + 1),
+            other => panic!("expected a syntax error, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn row_count_at_the_cap_is_accepted() {
+        let lib = Library::standard(Technology::n65());
+        let d = gen::generate(&profiles::tiny(), &lib);
+        let p = crate::place(&d, &lib);
+        let text = write_placement(&p, &d.netlist).replace(
+            &format!("ROWHEIGHT {:.4} ;", p.row_h_um),
+            &format!("ROWHEIGHT {} ;", p.die_h_um / MAX_ROWS as f64),
+        );
+        let back = parse_placement(&text, &d.netlist).expect("at the cap");
+        assert!(back.num_rows() <= MAX_ROWS);
     }
 
     #[test]

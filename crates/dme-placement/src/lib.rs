@@ -46,7 +46,7 @@ mod order;
 mod place;
 mod rowindex;
 
-pub use db::{LegalityError, Placement};
+pub use db::{LegalityError, PadIndex, Placement};
 pub use delta::PlacementDelta;
 pub use hpwl::BoundingBox;
 pub use netbox::{NetBoxCache, NetBoxStats, NetPins};

@@ -22,7 +22,7 @@
 //! non-negative-zero coordinates are order-independent.
 
 use crate::hpwl::BoundingBox;
-use crate::Placement;
+use crate::{PadIndex, Placement};
 use dme_liberty::Library;
 use dme_netlist::{InstId, NetId, Netlist};
 
@@ -45,6 +45,7 @@ impl NetPins {
     pub fn build(nl: &Netlist, placement: &Placement) -> Self {
         let num_nets = nl.num_nets();
         let n = nl.num_instances();
+        let pads = PadIndex::build(nl);
         let mut pad = vec![None; num_nets];
         let mut owners: Vec<Vec<InstId>> = vec![Vec::new(); num_nets];
         for net_idx in 0..num_nets {
@@ -53,7 +54,7 @@ impl NetPins {
             if let Some(drv) = net.driver {
                 owners[net_idx].push(drv);
             }
-            pad[net_idx] = placement.pi_pad(nl, id);
+            pad[net_idx] = pads.pad_of(id).map(|j| placement.pi_pos[j]);
             for &(sink, _) in &net.sinks {
                 owners[net_idx].push(sink);
             }
@@ -359,6 +360,27 @@ mod tests {
                 let scratch = cache.pins().scratch_bbox(&lib, nl, &p, net, None);
                 assert_eq!(cache.bbox(net), scratch);
             }
+        }
+    }
+
+    #[test]
+    fn pads_match_the_pi_scan() {
+        let lib = Library::standard(Technology::n65());
+        let mut d = gen::generate(&profiles::tiny(), &lib);
+        let mut p = crate::place(&d, &lib);
+        // Reversed (pad index ≠ net order) and with one PI listed twice,
+        // whose second pad must lose to the first.
+        d.netlist.primary_inputs.reverse();
+        let again = d.netlist.primary_inputs[1];
+        d.netlist.primary_inputs.push(again);
+        p.pi_pos.push((p.die_w_um, p.die_h_um));
+        let pins = NetPins::build(&d.netlist, &p);
+        for ni in 0..d.netlist.num_nets() {
+            assert_eq!(
+                pins.pad[ni],
+                p.pi_pad(&d.netlist, NetId(ni as u32)),
+                "net {ni}"
+            );
         }
     }
 

@@ -177,16 +177,16 @@ proptest! {
 }
 
 /// What a DEF mutation may put in place of a token.
-const BAD_TOKENS: [&str; 6] = ["NaN", "inf", "-1", "0", "", "%&garbage"];
+const BAD_TOKENS: [&str; 7] = ["NaN", "inf", "-1", "0", "", "%&garbage", "1e-300"];
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
 
     /// The DEF reader never panics on a mutated file: lines dropped,
     /// duplicated or truncated, and tokens (any, or a number) replaced.
-    /// Whatever it accepts has finite coordinates and finite, positive
-    /// die, row and site values, and a legality check of it runs to
-    /// completion.
+    /// Whatever it accepts has finite coordinates, finite, positive
+    /// die, row and site values and at most `MAX_ROWS` rows, and a
+    /// legality check of it runs to completion.
     #[test]
     fn def_reader_survives_mutations(
         seed in any::<u64>(),
@@ -235,6 +235,7 @@ proptest! {
             for v in [back.die_w_um, back.die_h_um, back.row_h_um, back.site_um] {
                 prop_assert!(v.is_finite() && v > 0.0, "dimension {}", v);
             }
+            prop_assert!(back.num_rows() <= dme_placement::io::MAX_ROWS);
             let _ = back.check_legal(&d.netlist, &lib);
         }
     }

@@ -8,9 +8,9 @@
 //! identical ([`StaMode`] only changes wall-clock time).
 
 use crate::wire::WireModel;
-use dme_liberty::{Library, VariantCache};
-use dme_netlist::{InstId, NetId, Netlist};
-use dme_placement::Placement;
+use dme_liberty::{CellTables, Library, VariantCache};
+use dme_netlist::{InstId, NetId, Netlist, TopoLevels};
+use dme_placement::{PadIndex, Placement};
 
 /// Execution strategy for [`analyze_with_mode`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -30,7 +30,8 @@ pub enum StaMode {
 }
 
 impl StaMode {
-    fn parallel(self) -> bool {
+    /// Whether this mode fans work out to the pool on this host.
+    pub(crate) fn parallel(self) -> bool {
         match self {
             StaMode::Serial => false,
             StaMode::Parallel | StaMode::Auto => dme_par::effective_parallelism() > 1,
@@ -121,17 +122,18 @@ pub struct TimingReport {
 /// Default slew assumed at primary-input pads, ns.
 pub(crate) const PI_SLEW_NS: f64 = 0.03;
 
-/// Per-net `(sink pin cap fF, total load fF, wire delay ns)` at the given
-/// placement and geometry. Shared by the full and incremental analyses so
-/// both compute bitwise-identical values.
+/// Per-net `(total load fF, wire delay ns)` at the given placement and
+/// geometry. Shared by the full and incremental analyses so both compute
+/// bitwise-identical values.
 pub(crate) fn net_props(
     lib: &Library,
     nl: &Netlist,
     placement: &Placement,
     doses: &GeometryAssignment,
+    pads: &PadIndex,
     wire: &WireModel,
     net_idx: usize,
-) -> (f64, f64, f64) {
+) -> (f64, f64) {
     let tech = lib.tech();
     let net = NetId(net_idx as u32);
     let mut pin_cap = 0.0;
@@ -141,33 +143,49 @@ pub(crate) fn net_props(
             lib.cell(nl.instance(sink).cell_idx)
                 .input_cap_ff(tech, doses.dl_nm[s], doses.dw_nm[s]);
     }
-    let hpwl = placement.net_hpwl(lib, nl, net);
+    let hpwl = placement.net_hpwl_indexed(lib, nl, pads, net);
     (
-        pin_cap,
         pin_cap + wire.wire_cap_ff(hpwl),
         wire.wire_delay_ns(hpwl, pin_cap),
     )
 }
 
-/// Late-pass evaluation of one gate: `(load, gate delay, arrival, input
-/// slew, output slew)`. Reads only strictly-lower-level fanin state, so
-/// gates of one topological level may be evaluated concurrently. Shared
-/// by the full and incremental analyses.
-#[allow(clippy::too_many_arguments)]
+/// Resolves every instance's cell variant once, in instance order, for
+/// one timing pass: entry `i` is the [`VariantCache`] id of instance
+/// `i`'s master at its quantized `(ΔL, ΔW)`. The level loops then read
+/// the tables by id, with no lock and no hashing per gate.
+///
+/// # Panics
+///
+/// Panics if an instance's ΔL or ΔW is not finite.
+pub(crate) fn resolve_variants(
+    cache: &mut VariantCache<'_>,
+    nl: &Netlist,
+    doses: &GeometryAssignment,
+) -> Vec<u32> {
+    nl.instances
+        .iter()
+        .enumerate()
+        .map(|(i, inst)| cache.resolve(inst.cell_idx, doses.dl_nm[i], doses.dw_nm[i]))
+        .collect()
+}
+
+/// Late-pass evaluation of one gate with its resolved variant `tables`:
+/// `(load, gate delay, arrival, input slew, output slew)`. Reads only
+/// strictly-lower-level fanin state, so gates of one topological level
+/// may be evaluated concurrently. Shared by the full and incremental
+/// analyses.
 pub(crate) fn late_gate(
     nl: &Netlist,
-    cache: &VariantCache<'_>,
-    doses: &GeometryAssignment,
+    tables: &CellTables,
     net_load_ff: &[f64],
     net_wire_delay: &[f64],
     arrival: &[f64],
     out_slew: &[f64],
     id: InstId,
 ) -> (f64, f64, f64, f64, f64) {
-    let i = id.0 as usize;
     let inst = nl.instance(id);
     let out_load = net_load_ff[inst.output.0 as usize];
-    let tables = cache.tables(inst.cell_idx, doses.dl_nm[i], doses.dw_nm[i]);
     if inst.is_sequential {
         // Launch point: arrival at Q is the clk→Q delay.
         let d = tables.delay_worst(PI_SLEW_NS, out_load);
@@ -197,6 +215,119 @@ pub(crate) fn late_gate(
         slew,
         tables.out_slew_worst(slew, out_load),
     )
+}
+
+/// Late-pass (setup) timing state of a whole design.
+pub(crate) struct LatePass {
+    /// Capacitive load per net (wire plus sink pins), fF.
+    pub net_load_ff: Vec<f64>,
+    /// Wire delay per net, ns.
+    pub net_wire_delay: Vec<f64>,
+    /// Output load per instance, fF.
+    pub load: Vec<f64>,
+    /// Worst gate delay per instance, ns.
+    pub gate_delay: Vec<f64>,
+    /// Late arrival per instance output, ns.
+    pub arrival: Vec<f64>,
+    /// Worst input slew per instance, ns.
+    pub in_slew: Vec<f64>,
+    /// Output slew per instance, ns.
+    pub out_slew: Vec<f64>,
+}
+
+/// The full late pass, the one function [`analyze_with_mode`] and
+/// [`crate::IncrementalSta::new`] both time a design with: every net's
+/// load and wire delay, then every gate one topological level at a time
+/// with `variant` (from [`resolve_variants`]) naming its tables. With
+/// `par`, large net ranges and levels fan out to the pool; each gate
+/// reads only strictly lower levels and its results land in its own
+/// slots, so the state is bitwise identical either way.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn late_pass(
+    lib: &Library,
+    nl: &Netlist,
+    placement: &Placement,
+    doses: &GeometryAssignment,
+    pads: &PadIndex,
+    wire: &WireModel,
+    cache: &VariantCache<'_>,
+    variant: &[u32],
+    levels: &TopoLevels,
+    par: bool,
+) -> LatePass {
+    // --- output load per net: wire cap + sink pin caps at sink geometry ---
+    let num_nets = nl.num_nets();
+    let props_of = |net_idx: usize| net_props(lib, nl, placement, doses, pads, wire, net_idx);
+    let mut net_load_ff = Vec::with_capacity(num_nets);
+    let mut net_wire_delay = Vec::with_capacity(num_nets);
+    if par && num_nets >= NET_PAR_CUTOFF {
+        let mut props = vec![(0.0f64, 0.0f64); num_nets];
+        dme_par::par_fill(&mut props, 64, props_of);
+        for (load, delay) in props {
+            net_load_ff.push(load);
+            net_wire_delay.push(delay);
+        }
+    } else {
+        for net_idx in 0..num_nets {
+            let (load, delay) = props_of(net_idx);
+            net_load_ff.push(load);
+            net_wire_delay.push(delay);
+        }
+    }
+
+    // --- forward propagation, one topological level at a time ---
+    let n = nl.num_instances();
+    let mut load = vec![0.0f64; n];
+    let mut gate_delay = vec![0.0f64; n];
+    let mut arrival = vec![0.0f64; n];
+    let mut in_slew = vec![PI_SLEW_NS; n];
+    let mut out_slew = vec![PI_SLEW_NS; n];
+    let eval = |id: InstId, arrival: &[f64], out_slew: &[f64]| {
+        late_gate(
+            nl,
+            cache.get(variant[id.0 as usize]),
+            &net_load_ff,
+            &net_wire_delay,
+            arrival,
+            out_slew,
+            id,
+        )
+    };
+    let mut results: Vec<(f64, f64, f64, f64, f64)> = Vec::new();
+    for level in &levels.levels {
+        if par && level.len() >= LEVEL_PAR_CUTOFF {
+            results.clear();
+            results.resize(level.len(), (0.0, 0.0, 0.0, 0.0, 0.0));
+            dme_par::par_fill(&mut results, 16, |k| eval(level[k], &arrival, &out_slew));
+            for (k, &(ld, d, arr, si, so)) in results.iter().enumerate() {
+                let i = level[k].0 as usize;
+                load[i] = ld;
+                gate_delay[i] = d;
+                arrival[i] = arr;
+                in_slew[i] = si;
+                out_slew[i] = so;
+            }
+        } else {
+            for &id in level {
+                let (ld, d, arr, si, so) = eval(id, &arrival, &out_slew);
+                let i = id.0 as usize;
+                load[i] = ld;
+                gate_delay[i] = d;
+                arrival[i] = arr;
+                in_slew[i] = si;
+                out_slew[i] = so;
+            }
+        }
+    }
+    LatePass {
+        net_load_ff,
+        net_wire_delay,
+        load,
+        gate_delay,
+        arrival,
+        in_slew,
+        out_slew,
+    }
 }
 
 /// Minimum cycle time implied by `arrival`: the worst endpoint path delay
@@ -259,8 +390,9 @@ pub fn total_leakage_uw(lib: &Library, nl: &Netlist, doses: &GeometryAssignment)
 ///
 /// # Panics
 ///
-/// Panics if the netlist has a combinational cycle or the assignment
-/// length does not match the instance count.
+/// Panics if the netlist has a combinational cycle, the assignment
+/// length does not match the instance count, or an instance's ΔL or ΔW
+/// is not finite.
 pub fn analyze(
     lib: &Library,
     nl: &Netlist,
@@ -275,8 +407,9 @@ pub fn analyze(
 ///
 /// # Panics
 ///
-/// Panics if the netlist has a combinational cycle or the assignment
-/// length does not match the instance count.
+/// Panics if the netlist has a combinational cycle, the assignment
+/// length does not match the instance count, or an instance's ΔL or ΔW
+/// is not finite.
 pub fn analyze_with_mode(
     lib: &Library,
     nl: &Netlist,
@@ -291,8 +424,6 @@ pub fn analyze_with_mode(
     );
     let _span = dme_obs::span("sta_analyze");
     let tech = lib.tech();
-    let wire = WireModel::for_tech(tech);
-    let cache = VariantCache::new(lib);
     let n = nl.num_instances();
     let par = mode.parallel();
     dme_obs::counter_add("sta/analyze_calls", 1);
@@ -305,81 +436,30 @@ pub fn analyze_with_mode(
         },
         1,
     );
-
-    // --- output load per net: wire cap + sink pin caps at sink geometry ---
-    let props_of = |net_idx: usize| net_props(lib, nl, placement, doses, &wire, net_idx);
-    let mut net_sink_cap = vec![0.0f64; nl.num_nets()];
-    let mut net_load_ff = vec![0.0f64; nl.num_nets()];
-    let mut net_wire_delay = vec![0.0f64; nl.num_nets()];
-    if par && nl.num_nets() >= NET_PAR_CUTOFF {
-        let mut props = vec![(0.0f64, 0.0f64, 0.0f64); nl.num_nets()];
-        dme_par::par_fill(&mut props, 64, props_of);
-        for (net_idx, (cap, load, delay)) in props.into_iter().enumerate() {
-            net_sink_cap[net_idx] = cap;
-            net_load_ff[net_idx] = load;
-            net_wire_delay[net_idx] = delay;
-        }
-    } else {
-        for net_idx in 0..nl.num_nets() {
-            let (cap, load, delay) = props_of(net_idx);
-            net_sink_cap[net_idx] = cap;
-            net_load_ff[net_idx] = load;
-            net_wire_delay[net_idx] = delay;
-        }
-    }
-
-    // --- forward propagation, one topological level at a time ---
     let levels = nl.topo_levels().expect("combinational cycle");
     dme_obs::counter_add("sta/levels_evaluated", levels.levels.len() as u64);
-    let mut arrival = vec![0.0f64; n];
-    let mut out_slew = vec![PI_SLEW_NS; n];
-    let mut in_slew = vec![PI_SLEW_NS; n];
-    let mut gate_delay = vec![0.0f64; n];
-    let mut load = vec![0.0f64; n];
-
-    {
-        // Late (setup) pass: worst arrival and slew per gate. Each gate
-        // only reads state of strictly lower levels, so all gates of one
-        // level may run concurrently.
-        let eval = |id: InstId, arrival: &[f64], out_slew: &[f64]| {
-            late_gate(
-                nl,
-                &cache,
-                doses,
-                &net_load_ff,
-                &net_wire_delay,
-                arrival,
-                out_slew,
-                id,
-            )
-        };
-        let mut results: Vec<(f64, f64, f64, f64, f64)> = Vec::new();
-        for level in &levels.levels {
-            if par && level.len() >= LEVEL_PAR_CUTOFF {
-                results.clear();
-                results.resize(level.len(), (0.0, 0.0, 0.0, 0.0, 0.0));
-                dme_par::par_fill(&mut results, 16, |k| eval(level[k], &arrival, &out_slew));
-                for (k, &(ld, d, arr, si, so)) in results.iter().enumerate() {
-                    let i = level[k].0 as usize;
-                    load[i] = ld;
-                    gate_delay[i] = d;
-                    arrival[i] = arr;
-                    in_slew[i] = si;
-                    out_slew[i] = so;
-                }
-            } else {
-                for &id in level {
-                    let (ld, d, arr, si, so) = eval(id, &arrival, &out_slew);
-                    let i = id.0 as usize;
-                    load[i] = ld;
-                    gate_delay[i] = d;
-                    arrival[i] = arr;
-                    in_slew[i] = si;
-                    out_slew[i] = so;
-                }
-            }
-        }
-    }
+    let mut cache = VariantCache::new(lib);
+    let variant = resolve_variants(&mut cache, nl, doses);
+    let LatePass {
+        net_load_ff,
+        net_wire_delay,
+        load,
+        gate_delay,
+        arrival,
+        in_slew,
+        out_slew,
+    } = late_pass(
+        lib,
+        nl,
+        placement,
+        doses,
+        &PadIndex::build(nl),
+        &WireModel::for_tech(tech),
+        &cache,
+        &variant,
+        levels,
+        par,
+    );
 
     // --- early (hold) propagation: best-case arrivals ---
     // Launch at clk→Q best delay; every gate contributes its min-of-rise/
@@ -392,7 +472,7 @@ pub fn analyze_with_mode(
             let i = id.0 as usize;
             let inst = nl.instance(id);
             let out_load = net_load_ff[inst.output.0 as usize];
-            let tables = cache.tables(inst.cell_idx, doses.dl_nm[i], doses.dw_nm[i]);
+            let tables = cache.get(variant[i]);
             if inst.is_sequential {
                 let d = tables.delay_best(PI_SLEW_NS, out_load);
                 return (d, d);
@@ -570,6 +650,17 @@ mod tests {
             assert_eq!(rs.arrival_ns[i].to_bits(), rp.arrival_ns[i].to_bits());
             assert_eq!(rs.slack_ns[i].to_bits(), rp.slack_ns[i].to_bits());
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "non-finite geometry delta")]
+    fn nan_geometry_is_rejected_not_timed_as_nominal() {
+        // (NaN * 10).round() as i64 is 0: without the check the gate
+        // would be timed silently with its nominal variant.
+        let (lib, d, p) = setup();
+        let mut doses = GeometryAssignment::nominal(d.netlist.num_instances());
+        doses.dl_nm[2] = f64::NAN;
+        analyze(&lib, &d.netlist, &p, &doses);
     }
 
     #[test]

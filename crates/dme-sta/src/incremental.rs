@@ -17,14 +17,15 @@
 //!   lazily-maintained max structure over per-endpoint contributions
 //!   instead of an O(n) endpoint scan.
 //!
-//! Every per-net and per-gate evaluation goes through the same functions
-//! as the full [`crate::analyze`] pass ([`engine::net_props`] and
-//! [`engine::late_gate`]), so after any sequence of `retime` /
-//! `retime_touched` calls the arrival/slew state — and therefore the
-//! reported MCT — is **bitwise identical** to a from-scratch analysis of
-//! the current inputs. For the push path this relies on the caller's
-//! contract: `touched` must cover every cell whose position or dose
-//! changed since the last call.
+//! The initial state comes from the same level-parallel late pass
+//! [`crate::analyze`] runs ([`engine::late_pass`]), and every later
+//! per-net and per-gate evaluation goes through the same functions as
+//! that pass ([`engine::net_props`] and [`engine::late_gate`]), so after
+//! any sequence of `retime` / `retime_touched` calls the arrival/slew
+//! state — and therefore the reported MCT — is **bitwise identical** to a
+//! from-scratch analysis of the current inputs. For the push path this
+//! relies on the caller's contract: `touched` must cover every cell whose
+//! position or dose changed since the last call.
 //!
 //! For trial-and-reject loops the engine also keeps an undo journal:
 //! [`IncrementalSta::mark`] before a speculative retime,
@@ -33,11 +34,11 @@
 //! where re-timing back to the old inputs would evaluate the cone a
 //! second time.
 
-use crate::engine::{self, GeometryAssignment};
+use crate::engine::{self, GeometryAssignment, StaMode};
 use crate::wire::WireModel;
 use dme_liberty::{Library, VariantCache};
 use dme_netlist::{InstId, Netlist, TopoLevels};
-use dme_placement::Placement;
+use dme_placement::{PadIndex, Placement};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
@@ -158,11 +159,13 @@ pub struct IncrementalSta<'a> {
     lib: &'a Library,
     nl: &'a Netlist,
     wire: WireModel,
+    pads: PadIndex,
+    // Variants characterized so far; the retime path resolves the
+    // re-timed gates' ids through `&mut self`.
     cache: VariantCache<'a>,
-    // Level decomposition, resolved once at construction (satellite of
-    // the O(cone) work: no `topo_levels()`/`flatten()` in the hot path).
+    // Level decomposition, resolved once at construction (no
+    // `topo_levels()` in the hot path).
     levels: &'a TopoLevels,
-    flat_order: Vec<InstId>,
     // Mirror of the inputs the state below was computed at.
     x_um: Vec<f64>,
     y_um: Vec<f64>,
@@ -210,12 +213,15 @@ pub struct IncrementalSta<'a> {
 }
 
 impl<'a> IncrementalSta<'a> {
-    /// Builds the engine with a full late pass at the given inputs.
+    /// Builds the engine with a full late pass at the given inputs — the
+    /// same level-parallel pass [`crate::analyze`] runs, so the state is
+    /// bitwise identical to its arrivals and slews.
     ///
     /// # Panics
     ///
-    /// Panics if the netlist has a combinational cycle or the assignment
-    /// length does not match the instance count.
+    /// Panics if the netlist has a combinational cycle, the assignment
+    /// length does not match the instance count, or an instance's ΔL or
+    /// ΔW is not finite.
     pub fn new(
         lib: &'a Library,
         nl: &'a Netlist,
@@ -229,7 +235,6 @@ impl<'a> IncrementalSta<'a> {
         );
         let n = nl.num_instances();
         let levels = nl.topo_levels().expect("combinational cycle");
-        let flat_order = levels.flatten();
 
         // Endpoint table: FF data pins (in instance order), then primary
         // outputs (in list order). Endpoints whose net has no driver
@@ -268,24 +273,34 @@ impl<'a> IncrementalSta<'a> {
         let eps_of_inst = Csr::build(n, &by_inst);
         let eps_of_net = Csr::build(nl.num_nets(), &by_net);
 
+        let pads = PadIndex::build(nl);
+        let wire = WireModel::for_tech(tech);
+        let mut cache = VariantCache::new(lib);
+        let par = StaMode::Auto.parallel();
+        let late = {
+            let variant = engine::resolve_variants(&mut cache, nl, doses);
+            engine::late_pass(
+                lib, nl, placement, doses, &pads, &wire, &cache, &variant, levels, par,
+            )
+        };
         let mut s = Self {
             lib,
             nl,
-            wire: WireModel::for_tech(lib.tech()),
-            cache: VariantCache::new(lib),
+            wire,
+            pads,
+            cache,
             levels,
-            flat_order,
             x_um: placement.x_um.clone(),
             y_um: placement.y_um.clone(),
             dl_nm: doses.dl_nm.clone(),
             dw_nm: doses.dw_nm.clone(),
-            net_load_ff: vec![0.0; nl.num_nets()],
-            net_wire_delay: vec![0.0; nl.num_nets()],
-            arrival: vec![0.0; n],
-            in_slew: vec![engine::PI_SLEW_NS; n],
-            out_slew: vec![engine::PI_SLEW_NS; n],
-            gate_delay: vec![0.0; n],
-            load: vec![0.0; n],
+            net_load_ff: late.net_load_ff,
+            net_wire_delay: late.net_wire_delay,
+            arrival: late.arrival,
+            in_slew: late.in_slew,
+            out_slew: late.out_slew,
+            gate_delay: late.gate_delay,
+            load: late.load,
             epoch: 1,
             net_mark: vec![0; nl.num_nets()],
             cone_mark: vec![0; n],
@@ -305,34 +320,21 @@ impl<'a> IncrementalSta<'a> {
             topk_epoch: 0,
             journal: Vec::new(),
             journal_armed: false,
-            stats: RetimeStats::default(),
+            // The full pass counts as one call that timed every net and
+            // every gate.
+            stats: RetimeStats {
+                retime_calls: 1,
+                gates_retimed: n as u64,
+                nets_updated: nl.num_nets() as u64,
+            },
         };
-        s.full_pass(placement, doses);
+        // The endpoint contributions and the lazy max-heap over them.
+        for e in 0..num_eps {
+            let v = s.ep_value(e);
+            s.ep_contrib[e] = v;
+            s.mct_heap.push((OrdF64(v), Reverse(e as u32)));
+        }
         s
-    }
-
-    fn full_pass(&mut self, placement: &Placement, doses: &GeometryAssignment) {
-        self.stats.retime_calls += 1;
-        for net_idx in 0..self.nl.num_nets() {
-            let (_, load, delay) =
-                engine::net_props(self.lib, self.nl, placement, doses, &self.wire, net_idx);
-            self.net_load_ff[net_idx] = load;
-            self.net_wire_delay[net_idx] = delay;
-            self.stats.nets_updated += 1;
-        }
-        let order = std::mem::take(&mut self.flat_order);
-        for &id in &order {
-            self.retime_gate(id, doses);
-        }
-        self.flat_order = order;
-        // (Re)build the endpoint contributions and the lazy max-heap.
-        self.dirty_eps.clear();
-        self.mct_heap.clear();
-        for e in 0..self.ep_drv.len() {
-            let v = self.ep_value(e);
-            self.ep_contrib[e] = v;
-            self.mct_heap.push((OrdF64(v), Reverse(e as u32)));
-        }
     }
 
     /// The endpoint's contribution to the MCT, computed with exactly the
@@ -386,10 +388,15 @@ impl<'a> IncrementalSta<'a> {
     /// Returns `true` when the externally visible outputs (arrival or
     /// output slew) changed.
     fn retime_gate(&mut self, id: InstId, doses: &GeometryAssignment) -> bool {
+        let i = id.0 as usize;
+        let variant = self.cache.resolve(
+            self.nl.instance(id).cell_idx,
+            doses.dl_nm[i],
+            doses.dw_nm[i],
+        );
         let (ld, d, arr, si, so) = engine::late_gate(
             self.nl,
-            &self.cache,
-            doses,
+            self.cache.get(variant),
             &self.net_load_ff,
             &self.net_wire_delay,
             &self.arrival,
@@ -397,7 +404,6 @@ impl<'a> IncrementalSta<'a> {
             id,
         );
         self.stats.gates_retimed += 1;
-        let i = id.0 as usize;
         let arr_changed = self.arrival[i].to_bits() != arr.to_bits();
         let changed = arr_changed || self.out_slew[i].to_bits() != so.to_bits();
         if self.journal_armed {
@@ -491,8 +497,9 @@ impl<'a> IncrementalSta<'a> {
         let nets = std::mem::take(&mut self.dirty_nets);
         for &net_u in &nets {
             let net_idx = net_u as usize;
-            let (_, load, delay) =
-                engine::net_props(self.lib, self.nl, placement, doses, &self.wire, net_idx);
+            let (load, delay) = engine::net_props(
+                self.lib, self.nl, placement, doses, &self.pads, &self.wire, net_idx,
+            );
             self.stats.nets_updated += 1;
             let load_changed = self.net_load_ff[net_idx].to_bits() != load.to_bits();
             let delay_changed = self.net_wire_delay[net_idx].to_bits() != delay.to_bits();
@@ -649,7 +656,8 @@ impl<'a> IncrementalSta<'a> {
     ///
     /// # Panics
     ///
-    /// Panics if the assignment length does not match the instance count.
+    /// Panics if the assignment length does not match the instance count,
+    /// or if a re-timed instance's ΔL or ΔW is not finite.
     pub fn retime(&mut self, placement: &Placement, doses: &GeometryAssignment) -> f64 {
         let n = self.nl.num_instances();
         assert_eq!(doses.len(), n, "assignment/netlist size mismatch");
@@ -679,7 +687,8 @@ impl<'a> IncrementalSta<'a> {
     ///
     /// # Panics
     ///
-    /// Panics if the assignment length does not match the instance count.
+    /// Panics if the assignment length does not match the instance count,
+    /// or if a re-timed instance's ΔL or ΔW is not finite.
     pub fn retime_touched(
         &mut self,
         placement: &Placement,
@@ -841,6 +850,69 @@ mod tests {
         let doses = GeometryAssignment::nominal(d.netlist.num_instances());
         let inc = IncrementalSta::new(&lib, &d.netlist, &p, &doses);
         assert_matches_full(&inc, &lib, &d.netlist, &p, &doses);
+    }
+
+    #[test]
+    fn new_equals_a_serial_late_pass_in_every_slot() {
+        let lib = Library::standard(Technology::n65());
+        let d = gen::generate(&profiles::scaling(5000, 8), &lib);
+        let nl = &d.netlist;
+        let p = dme_placement::place(&d, &lib);
+        let n = nl.num_instances();
+        let mut doses = GeometryAssignment::nominal(n);
+        for i in 0..n {
+            doses.dl_nm[i] = ((i * 7) % 41) as f64 * 0.25 - 5.0;
+            doses.dw_nm[i] = ((i * 3) % 9) as f64 - 4.0;
+        }
+        let inc = IncrementalSta::new(&lib, nl, &p, &doses);
+        let mut cache = VariantCache::new(&lib);
+        let variant = engine::resolve_variants(&mut cache, nl, &doses);
+        let serial = engine::late_pass(
+            &lib,
+            nl,
+            &p,
+            &doses,
+            &PadIndex::build(nl),
+            &WireModel::for_tech(lib.tech()),
+            &cache,
+            &variant,
+            inc.levels,
+            false,
+        );
+        for (got, want, what) in [
+            (&inc.net_load_ff, &serial.net_load_ff, "net load"),
+            (&inc.net_wire_delay, &serial.net_wire_delay, "wire delay"),
+            (&inc.load, &serial.load, "load"),
+            (&inc.gate_delay, &serial.gate_delay, "gate delay"),
+            (&inc.arrival, &serial.arrival, "arrival"),
+            (&inc.in_slew, &serial.in_slew, "input slew"),
+            (&inc.out_slew, &serial.out_slew, "output slew"),
+        ] {
+            assert_eq!(got.len(), want.len(), "{what}");
+            for (i, (a, b)) in got.iter().zip(want.iter()).enumerate() {
+                assert_eq!(a.to_bits(), b.to_bits(), "{what} at {i}");
+            }
+        }
+        assert_eq!(inc.cache.len(), cache.len(), "variants resolved");
+    }
+
+    #[test]
+    #[should_panic(expected = "non-finite geometry delta")]
+    fn nan_length_delta_is_rejected_at_build() {
+        let (lib, d, p) = setup();
+        let mut doses = GeometryAssignment::nominal(d.netlist.num_instances());
+        doses.dl_nm[3] = f64::NAN;
+        IncrementalSta::new(&lib, &d.netlist, &p, &doses);
+    }
+
+    #[test]
+    #[should_panic(expected = "non-finite geometry delta")]
+    fn nan_width_delta_is_rejected_on_retime() {
+        let (lib, d, p) = setup();
+        let mut doses = GeometryAssignment::nominal(d.netlist.num_instances());
+        let mut inc = IncrementalSta::new(&lib, &d.netlist, &p, &doses);
+        doses.dw_nm[5] = f64::NAN;
+        inc.retime_touched(&p, &doses, &[InstId(5)]);
     }
 
     #[test]
