@@ -18,11 +18,11 @@ use dme_sta::{
 };
 use dmeopt::{
     dosepl, formulation_params, optimize, DmoptConfig, DoseplConfig, Formulation,
-    FormulationParams, Layers, OptContext, SwapEngine,
+    FormulationParams, Layers, OptContext,
 };
 
 /// Deterministic pseudorandom dose map in [−4%, +4%] on the given die —
-/// the dosePl engine benches only read the map, so no QP solve is needed.
+/// the dosePl benches only read the map, so no QP solve is needed.
 fn synthetic_map(die_w_um: f64, die_h_um: f64, granularity_um: f64, seed: u64) -> DoseMap {
     let grid = DoseGrid::with_granularity(die_w_um, die_h_um, granularity_um);
     let vals: Vec<f64> = (0..grid.num_cells())
@@ -433,8 +433,8 @@ fn bench_perf(c: &mut Criterion) {
     });
 
     // Candidate undo: full coordinate-vector snapshot vs journal replay.
-    // Both engines pay the identical swap + ECO row repack to *apply* a
-    // candidate, so the mutation here is just the O(1) cell swap — the
+    // Both undo styles pay the identical swap + ECO row repack to *apply*
+    // a candidate, so the mutation here is just the O(1) cell swap — the
     // pair isolates the capture/restore machinery the structure replaces
     // (O(n) clone + write-back vs O(Δ) journal).
     let mut up = wtb.placement.clone();
@@ -482,38 +482,31 @@ fn bench_perf(c: &mut Criterion) {
         });
     });
 
-    // --- dosePl candidate loop end to end: O(Δ) engine vs reference ---
+    // --- dosePl candidate loop end to end ---
     // Same 12k-cell design; synthetic fine-grained map so candidate
     // enumeration and per-eval state maintenance dominate, as on
     // production grids.
     let dmap = synthetic_map(wtb.placement.die_w_um, wtb.placement.die_h_um, 2.0, 42);
-    let dp_cfg = |engine| DoseplConfig {
+    let dp_cfg = DoseplConfig {
         top_k: 300,
         rounds: 2,
         swaps_per_round: 8,
-        engine,
         ..DoseplConfig::default()
     };
     // Each end-to-end run is seconds of wall time; a handful of samples
     // is enough for the ratio the sentinel tracks.
     group.sample_size(3);
     group.bench_function("dosepl_run_fast", |b| {
-        let cfg = dp_cfg(SwapEngine::Delta);
-        b.iter(|| dosepl(&wctx, &dmap, None, -2.0, &cfg));
+        b.iter(|| dosepl(&wctx, &dmap, None, -2.0, &dp_cfg));
     });
     // Same run with the self-profiler armed — the pair quantifies the
     // span + allocation-attribution overhead (`profiling_overhead` in
     // BENCH_perf.json; the acceptance budget is < 5% wall).
     group.bench_function("dosepl_run_fast_profiled", |b| {
-        let cfg = dp_cfg(SwapEngine::Delta);
         dme_obs::set_enabled(true);
-        b.iter(|| dosepl(&wctx, &dmap, None, -2.0, &cfg));
+        b.iter(|| dosepl(&wctx, &dmap, None, -2.0, &dp_cfg));
         dme_obs::set_enabled(false);
         dme_obs::reset();
-    });
-    group.bench_function("dosepl_run_reference", |b| {
-        let cfg = dp_cfg(SwapEngine::Reference);
-        b.iter(|| dosepl(&wctx, &dmap, None, -2.0, &cfg));
     });
     group.sample_size(20);
     // Measured wall ratios for the armed/disarmed pair. Single runs on
@@ -526,11 +519,10 @@ fn bench_perf(c: &mut Criterion) {
     // back-to-back alternating-arm wall ratios (best-of-N and median)
     // as cross-checks.
     {
-        let cfg = dp_cfg(SwapEngine::Delta);
         let run = |armed: bool| {
             dme_obs::set_enabled(armed);
             let t = std::time::Instant::now();
-            std::hint::black_box(dosepl(&wctx, &dmap, None, -2.0, &cfg));
+            std::hint::black_box(dosepl(&wctx, &dmap, None, -2.0, &dp_cfg));
             dme_obs::set_enabled(false);
             t.elapsed().as_nanos() as u64
         };
@@ -573,7 +565,7 @@ fn bench_perf(c: &mut Criterion) {
             spans_per_run
         );
     }
-    let dp_fast = dosepl(&wctx, &dmap, None, -2.0, &dp_cfg(SwapEngine::Delta));
+    let dp_fast = dosepl(&wctx, &dmap, None, -2.0, &dp_cfg);
     println!(
         "WORKLINE dosepl_candidates swaps_attempted={} swap_evals={} swaps_accepted={} \
          rounds={} num_instances={}",

@@ -9,9 +9,10 @@
 //! build produces), plus the reverse `grid_of` map.
 //!
 //! Sync happens at round boundaries only. Mid-round the index is
-//! intentionally stale — the reference implementation reads positions
-//! captured at round start, and candidate selection must stay bitwise
-//! identical to it.
+//! intentionally stale: a dosePl round picks its candidates by the grid
+//! membership at round start (as the from-scratch test oracle does, from
+//! positions it captures then), and candidate selection must stay
+//! bitwise identical to that.
 
 use dme_dosemap::DoseGrid;
 use dme_liberty::Library;
@@ -26,32 +27,18 @@ pub(crate) struct GridIndex {
 }
 
 impl GridIndex {
-    /// Builds the index with one O(n) pass — once per dosePl run (or
-    /// per round, for the from-scratch reference engine).
+    /// Builds the index with one O(n) pass, once per dosePl run.
     pub fn build(lib: &Library, nl: &Netlist, placement: &Placement, grid: &DoseGrid) -> Self {
-        let mut s = Self {
-            members: vec![Vec::new(); grid.num_cells()],
-            grid_of: vec![0; nl.num_instances()],
-        };
-        s.rebuild(lib, nl, placement, grid);
-        s
-    }
-
-    /// From-scratch refill at the current positions (the costed oracle
-    /// path the reference engine pays every round).
-    pub fn rebuild(&mut self, lib: &Library, nl: &Netlist, placement: &Placement, grid: &DoseGrid) {
-        for m in &mut self.members {
-            m.clear();
-        }
-        self.members.resize(grid.num_cells(), Vec::new());
-        self.grid_of.resize(nl.num_instances(), 0);
-        for i in 0..nl.num_instances() {
+        let mut members = vec![Vec::new(); grid.num_cells()];
+        let mut grid_of = vec![0; nl.num_instances()];
+        for (i, slot) in grid_of.iter_mut().enumerate() {
             let id = InstId(i as u32);
             let (x, y) = placement.center(lib, nl, id);
             let g = grid.cell_of(x, y);
-            self.grid_of[i] = g as u32;
-            self.members[g].push(id); // ascending id by construction
+            *slot = g as u32;
+            members[g].push(id); // ascending id by construction
         }
+        Self { members, grid_of }
     }
 
     /// Dose-grid cell the instance was filed under at the last sync.

@@ -1,9 +1,8 @@
 //! The full-STA budget of one `dosepl` call, read from the
 //! `sta/analyze_calls` counter of a traced run.
 //!
-//! With the default O(Δ) engine and incremental path enumerator, every
-//! timing decision reads the incremental timer, so a release build runs
-//! one full analysis per call: the final signoff. Debug builds add the
+//! Every timing decision reads the incremental timer, so a release build
+//! runs one full analysis per call: the final signoff. Debug builds add the
 //! golden cross-checks — one at entry, one per round start and one per
 //! round that ends with swaps to decide on.
 //!
@@ -13,9 +12,7 @@
 use dme_device::Technology;
 use dme_liberty::Library;
 use dme_netlist::{gen, profiles};
-use dmeopt::{
-    dosepl, optimize, DmoptConfig, DoseplConfig, Objective, OptContext, PathEnum, SwapEngine,
-};
+use dmeopt::{dosepl, optimize, DmoptConfig, DoseplConfig, Objective, OptContext};
 
 #[test]
 fn dosepl_runs_one_full_sta_per_call() {
@@ -32,11 +29,7 @@ fn dosepl_runs_one_full_sta_per_call() {
         },
     )
     .expect("dmopt");
-    let cfg = DoseplConfig {
-        engine: SwapEngine::Delta,
-        path_enum: PathEnum::Incremental,
-        ..DoseplConfig::default()
-    };
+    let cfg = DoseplConfig::default();
 
     dme_obs::set_enabled(true);
     dme_obs::reset();

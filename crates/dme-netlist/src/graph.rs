@@ -88,11 +88,6 @@ impl TopoLevels {
     pub fn num_levels(&self) -> usize {
         self.levels.len()
     }
-
-    /// Flattened level-major instance order — a valid topological order.
-    pub fn flatten(&self) -> Vec<InstId> {
-        self.levels.iter().flatten().copied().collect()
-    }
 }
 
 /// Netlist consistency violations found by [`Netlist::validate`].
@@ -474,9 +469,17 @@ mod tests {
                 assert!(lv.depth[f.0 as usize] < lv.depth[id.0 as usize]);
             }
         }
-        // The flattened level order is a permutation of all instances.
-        let flat = lv.flatten();
-        assert_eq!(flat.len(), nl.num_instances());
+        // The levels partition the instances: each one sits exactly once,
+        // in the level its depth names.
+        let mut seen = vec![false; nl.num_instances()];
+        for (k, level) in lv.levels.iter().enumerate() {
+            for &id in level {
+                assert!(!seen[id.0 as usize], "{id:?} filed twice");
+                seen[id.0 as usize] = true;
+                assert_eq!(lv.depth[id.0 as usize] as usize, k);
+            }
+        }
+        assert!(seen.iter().all(|&s| s), "every instance has a level");
         // Cached: a second call returns the same decomposition.
         assert_eq!(nl.topo_levels().unwrap(), &lv);
     }

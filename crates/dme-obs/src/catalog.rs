@@ -4,10 +4,11 @@
 //! Snapshot, trace and manifest consumers should not have to grep the
 //! source for metric names; `dmeopt obs ls` prints this table. The
 //! catalog is a static registry of *intent* — a name appearing here
-//! does not mean the current run touched it (feature flags and engine
-//! selection gate several), and instrumentation added under a new name
-//! should land here in the same change: tests in `dmeopt` fail when a
-//! traced flow (library or CLI) emits a name that has no row here.
+//! does not mean the current run touched it (feature flags, the build
+//! profile and the command gate several), and instrumentation added
+//! under a new name should land here in the same change: tests in
+//! `dmeopt` fail when a traced flow (library or CLI) emits a name that
+//! has no row here.
 
 /// Which primitive a catalog entry describes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -95,7 +96,7 @@ pub const METRICS: &[MetricInfo] = &[
     ),
     c(
         "dosepl/assignment_evals_avoided",
-        "assignment cell re-derives skipped by the delta engine",
+        "assignment cell re-derives skipped by the O(Δ) dose update",
     ),
     c(
         "dosepl/distance_cutoffs",
@@ -108,18 +109,6 @@ pub const METRICS: &[MetricInfo] = &[
     c(
         "dosepl/enumerate_endpoints_selected",
         "endpoints kept by incremental top-K selection",
-    ),
-    c(
-        "dosepl/enumerate_full_analyze_skipped",
-        "round-start full STAs avoided by incremental enumeration",
-    ),
-    c(
-        "dosepl/enumerate_full_walks",
-        "rounds enumerated by the full analyze + sort walk",
-    ),
-    c(
-        "dosepl/enumerate_scratch_reuse",
-        "rounds reusing the epoch-stamped round scratch",
     ),
     c(
         "dosepl/enumerate_stale_discards",
@@ -325,7 +314,7 @@ pub const METRICS: &[MetricInfo] = &[
     s("flow/dosepl", "dose-aware detailed placement (swap rounds)"),
     s(
         "flow/dosepl/entry_boxes",
-        "dosePl entry: swap scratch (net-box cache and row index, or the reference pin lists)",
+        "dosePl entry: swap scratch (net-box cache and row index)",
     ),
     s(
         "flow/dosepl/entry_grid",
@@ -347,11 +336,11 @@ pub const METRICS: &[MetricInfo] = &[
     s("flow/dosepl/round/enumerate", "candidate pair enumeration"),
     s(
         "flow/dosepl/round/enumerate_paths",
-        "critical-path enumeration at round start (top-K or full walk)",
+        "critical-path enumeration at round start (incremental top-K)",
     ),
     s(
         "flow/dosepl/round/enumerate_paths/sta_analyze",
-        "round-start full STA (full-walk enumerator, or debug-build cross-check)",
+        "round-start full STA cross-check of the top-K paths (debug builds only)",
     ),
     s(
         "flow/dosepl/round/filter",
@@ -394,24 +383,8 @@ pub const METRICS: &[MetricInfo] = &[
         "undo of a rejected candidate's timing",
     ),
     s(
-        "flow/dosepl/round/filter/retime_undo/retime_cone",
-        "reference engine: cone re-timed back to the old inputs",
-    ),
-    s(
-        "flow/dosepl/round/filter/retime_undo/retime_diff",
-        "reference engine: full mirror diff of the restored inputs",
-    ),
-    s(
-        "flow/dosepl/round/filter/retime_undo/retime_mct",
-        "reference engine: MCT update after re-timing back",
-    ),
-    s(
-        "flow/dosepl/round/filter/retime_undo/retime_nets",
-        "reference engine: net refresh after re-timing back",
-    ),
-    s(
         "flow/dosepl/round/filter/retime_undo/retime_undo_replay",
-        "delta engine: STA undo-journal replay (zero gate evaluations)",
+        "STA undo-journal replay (zero gate evaluations)",
     ),
     s(
         "flow/dosepl/round/round_signoff",

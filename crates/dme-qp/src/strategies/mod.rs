@@ -23,9 +23,9 @@
 //!
 //! Strategy selection is a [`crate::IpmSettings`] field with an
 //! environment override (`DME_QP_IPM=mehrotra|basic`), mirroring the
-//! `DME_QP_BACKEND` and `DME_DOSEPL_ENGINE` toggles: the default
-//! [`IpmStrategy::Auto`] resolves the variable once per solve and an
-//! unknown value degrades to the Mehrotra default rather than aborting.
+//! `DME_QP_BACKEND` toggle: the default [`IpmStrategy::Auto`] resolves
+//! the variable once per solve and an unknown value degrades to the
+//! Mehrotra default rather than aborting.
 
 mod augmented_system;
 mod line_search;

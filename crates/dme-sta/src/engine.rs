@@ -22,11 +22,8 @@ pub enum StaMode {
     /// with the serial switch on) every fork-join call degrades to an
     /// inline loop, so this mode dispatches to the serial pass rather
     /// than paying the level-partitioning overhead for nothing.
-    Parallel,
-    /// Same dispatch rule as [`StaMode::Parallel`] (kept distinct so
-    /// explicit mode requests remain visible in configs and manifests).
     #[default]
-    Auto,
+    Parallel,
 }
 
 impl StaMode {
@@ -34,7 +31,7 @@ impl StaMode {
     pub(crate) fn parallel(self) -> bool {
         match self {
             StaMode::Serial => false,
-            StaMode::Parallel | StaMode::Auto => dme_par::effective_parallelism() > 1,
+            StaMode::Parallel => dme_par::effective_parallelism() > 1,
         }
     }
 }
@@ -399,7 +396,7 @@ pub fn analyze(
     placement: &Placement,
     doses: &GeometryAssignment,
 ) -> TimingReport {
-    analyze_with_mode(lib, nl, placement, doses, StaMode::Auto)
+    analyze_with_mode(lib, nl, placement, doses, StaMode::Parallel)
 }
 
 /// [`analyze`] with an explicit serial/parallel execution strategy. The
@@ -550,7 +547,7 @@ pub fn analyze_with_mode(
             required[d] = required[d].min(mct);
         }
     }
-    for &id in levels.flatten().iter().rev() {
+    for &id in levels.levels.iter().rev().flat_map(|l| l.iter().rev()) {
         let i = id.0 as usize;
         let inst = nl.instance(id);
         if inst.is_sequential {
@@ -641,7 +638,6 @@ mod tests {
             !StaMode::Parallel.parallel(),
             "Parallel mode must degrade to serial dispatch at 1 effective thread"
         );
-        assert!(!StaMode::Auto.parallel());
         let rp = analyze_with_mode(&lib, &d.netlist, &p, &doses, StaMode::Parallel);
         let rs = analyze_with_mode(&lib, &d.netlist, &p, &doses, StaMode::Serial);
         dme_par::set_force_serial(false);

@@ -276,7 +276,7 @@ impl<'a> IncrementalSta<'a> {
         let pads = PadIndex::build(nl);
         let wire = WireModel::for_tech(tech);
         let mut cache = VariantCache::new(lib);
-        let par = StaMode::Auto.parallel();
+        let par = StaMode::Parallel.parallel();
         let late = {
             let variant = engine::resolve_variants(&mut cache, nl, doses);
             engine::late_pass(
@@ -989,7 +989,7 @@ mod tests {
         let mut push = IncrementalSta::new(&lib, &d.netlist, &p, &doses);
         let mut pull = IncrementalSta::new(&lib, &d.netlist, &p, &doses);
         // A move (swap + repack) followed by a re-dose, pushed from the
-        // placement journal exactly as the Delta engine does.
+        // placement journal exactly as dosePl's candidate loop does.
         let mut pd = dme_placement::PlacementDelta::default();
         let (a, b) = (InstId(5), InstId(n as u32 / 3));
         p.swap_cells_tracked(a, b, &mut pd);

@@ -1,8 +1,8 @@
 //! Scaling smoke run: generates a seeded synthetic design at a requested
-//! size (`profiles::scaling`), runs a bounded dosePl pass with the chosen
-//! swap engine, and prints a machine-parseable `SMOKELINE` plus per-phase
-//! span timings. Used by the CI scaling-smoke leg and for profiling the
-//! swap loop at 12k/100k/1M cells.
+//! size (`profiles::scaling`), runs a bounded dosePl pass, and prints a
+//! machine-parseable `SMOKELINE` plus per-phase span timings. Used by the
+//! CI scaling-smoke leg and for profiling the swap loop at 12k/100k/1M
+//! cells.
 //!
 //! Environment knobs (all optional):
 //!   DME_SMOKE_CELLS   design size in cells          (default 12000)
@@ -10,12 +10,11 @@
 //!   DME_SMOKE_TOPK    paths per round               (default 300)
 //!   DME_SMOKE_ROUNDS  dosePl rounds                 (default 2)
 //!   DME_SMOKE_SWAPS   accepted swaps per round      (default 8)
-//!   DME_SMOKE_ENGINE  delta | reference | auto      (default delta)
 
 use dme_dosemap::{DoseGrid, DoseMap};
 use dme_liberty::Library;
 use dme_netlist::{gen, profiles};
-use dmeopt::{dosepl, DoseplConfig, OptContext, SwapEngine};
+use dmeopt::{dosepl, DoseplConfig, OptContext};
 use std::time::Instant;
 
 fn env_usize(key: &str, default: usize) -> usize {
@@ -45,16 +44,10 @@ fn synthetic_map(die_w_um: f64, die_h_um: f64, granularity_um: f64, seed: u64) -
 fn main() {
     let cells = env_usize("DME_SMOKE_CELLS", 12_000);
     let seed = env_usize("DME_SMOKE_SEED", 7) as u64;
-    let engine = match std::env::var("DME_SMOKE_ENGINE").as_deref() {
-        Ok("reference") => SwapEngine::Reference,
-        Ok("auto") => SwapEngine::Auto,
-        _ => SwapEngine::Delta,
-    };
     let cfg = DoseplConfig {
         top_k: env_usize("DME_SMOKE_TOPK", 300),
         rounds: env_usize("DME_SMOKE_ROUNDS", 2),
         swaps_per_round: env_usize("DME_SMOKE_SWAPS", 8),
-        engine,
         ..DoseplConfig::default()
     };
 
@@ -77,7 +70,7 @@ fn main() {
     let wall_ms = t.elapsed().as_secs_f64() * 1e3;
 
     println!(
-        "SMOKELINE cells={} nets={} engine={engine:?} wall_ms={wall_ms:.1} gen_ms={gen_ms:.1} \
+        "SMOKELINE cells={} nets={} wall_ms={wall_ms:.1} gen_ms={gen_ms:.1} \
          place_ms={place_ms:.1} ctx_ms={ctx_ms:.1} swaps_attempted={} swap_evals={} \
          swaps_accepted={} rounds={} gate_evals={} mct_before_ns={:.4} mct_after_ns={:.4}",
         design.netlist.num_instances(),

@@ -47,7 +47,7 @@ echo "== bench_perf: threads=$threads (nproc=$(nproc)) ==" >&2
 DME_NUM_THREADS="$threads" cargo bench --offline -p dme-bench --bench kernels -- perf/ \
     2>&1 | tee "$log" >&2
 
-# Scaling sweep: the same bounded dosePl round (delta engine) at 12k,
+# Scaling sweep: the same bounded dosePl round at 12k,
 # 100k and 1M cells of the wide/shallow scaling profile. The SMOKELINE
 # rows land in the manifest's `scaling_sweep` section; flat per-eval
 # gate counts across sizes are the O(cone) arbiter's acceptance proof.
@@ -56,7 +56,7 @@ if [ "${DME_BENCH_SWEEP:-1}" != "0" ]; then
     cargo build --release --offline -p dmeopt --example scale_smoke >&2
     for cells in 12000 100000 1000000; do
         DME_SMOKE_CELLS="$cells" DME_SMOKE_SEED=7 DME_SMOKE_TOPK=50 \
-            DME_SMOKE_ROUNDS=1 DME_SMOKE_SWAPS=4 DME_SMOKE_ENGINE=delta \
+            DME_SMOKE_ROUNDS=1 DME_SMOKE_SWAPS=4 \
             ./target/release/examples/scale_smoke 2>&1 | tee -a "$sweep_log" >&2
     done
 fi
@@ -196,42 +196,25 @@ if dp:
             dp["full_equivalent_gate_evals"] / dp["incremental_gate_evals"], 2
         )
 
-# O(Δ) swap-loop engine vs the from-scratch reference (both engines are
-# bitwise-identical in results). Two views, mirroring swap_eval above:
-#   work_reduction_x  — per-candidate state-evaluation work (assignment
-#                       refresh + undo restore), counter-derived from a
-#                       real run. Hardware-independent; this is the
-#                       headline candidate-evaluation throughput ratio.
-#   wall_speedup_x    — end-to-end dosePl wall ratio. Since the push
-#                       retime arbiter landed, the engines no longer
-#                       share their dominant cost (the delta engine
-#                       seeds retimes from journals and replays undos;
-#                       the reference pays an O(n) pull diff per eval
-#                       and re-times every rejection back), so this is
-#                       a real headline number, not informational.
+# O(Δ) candidate loop: per-candidate state-evaluation work (assignment
+# refresh + undo restore) against what from-scratch rebuilds would pay,
+# counter-derived from a real run — hardware-independent. A from-scratch
+# pass pays one O(n) assignment rebuild plus one O(n) coordinate restore
+# per timed candidate; the O(Δ) loop only the journal-touched cells
+# (journal writes / band refreshes).
 fastb = benches.get("perf/dosepl_run_fast")
-refb = benches.get("perf/dosepl_run_reference")
-if fastb and refb and fastb["median_ns"] > 0:
-    entry = {"wall_speedup_x": round(refb["median_ns"] / fastb["median_ns"], 2)}
-    entry["end_to_end_informational"] = False
-    cand = work.get("dosepl_candidates")
-    if cand:
-        entry.update(cand)
-        if cand.get("swaps_attempted", 0) > 0:
-            entry["candidates_per_s_fast"] = round(
-                cand["swaps_attempted"] / (fastb["median_ns"] * 1e-9), 1
-            )
-            entry["candidates_per_s_reference"] = round(
-                cand["swaps_attempted"] / (refb["median_ns"] * 1e-9), 1
-            )
+cand = work.get("dosepl_candidates")
+if cand:
+    entry = dict(cand)
+    if fastb and fastb["median_ns"] > 0 and cand.get("swaps_attempted", 0) > 0:
+        entry["candidates_per_s_fast"] = round(
+            cand["swaps_attempted"] / (fastb["median_ns"] * 1e-9), 1
+        )
     delta = work.get("dosepl_delta")
     if delta:
         entry["work_avoided"] = dict(delta)
-        n = (cand or {}).get("num_instances", 0)
-        evals = (cand or {}).get("swap_evals", 0)
-        # Reference state maintenance per timed candidate: one O(n)
-        # assignment rebuild plus one O(n) coordinate restore. Delta:
-        # only the touched cells (journal writes / band refreshes).
+        n = cand.get("num_instances", 0)
+        evals = cand.get("swap_evals", 0)
         ref_work = 2 * n * evals
         delta_work = (
             n * evals

@@ -368,24 +368,6 @@ def check_dosepl_consistency(path, m):
                 f"enumerate_stale_discards ({stale}) != "
                 f"enumerate_endpoints_popped ({popped})"
             )
-    # A single dosePl run enumerates each round exactly one way; the
-    # identity is additive, so mixed-mode manifests (several runs) keep
-    # skipped + walks == rounds.
-    skipped = c("dosepl/enumerate_full_analyze_skipped")
-    walks = c("dosepl/enumerate_full_walks")
-    rounds = c("dosepl/rounds")
-    if rounds is not None and (skipped is not None or walks is not None):
-        if (skipped or 0) + (walks or 0) != rounds:
-            fail(
-                f"{path}: dosepl/enumerate_full_analyze_skipped ({skipped}) + "
-                f"enumerate_full_walks ({walks}) != dosepl/rounds ({rounds})"
-            )
-    # Incremental enumeration never pays a round-start full analyze.
-    if (skipped or 0) > 0 and popped is None:
-        fail(
-            f"{path}: dosepl/enumerate_full_analyze_skipped without "
-            f"top-K selection counters"
-        )
     # The O(Δ) engine's work-avoided counters are written as one family.
     delta_family = [
         "dosepl/assignment_evals_avoided",
