@@ -387,7 +387,7 @@ fn bench_perf(c: &mut Criterion) {
         .max_by_key(|&i| {
             pins.nets_of(InstId(i as u32))
                 .iter()
-                .map(|&net| pins.pin_count(net))
+                .map(|&net| pins.pin_count(&wtb.design.netlist, net))
                 .sum::<usize>()
         })
         .map(|i| InstId(i as u32))

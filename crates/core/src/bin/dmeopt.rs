@@ -237,6 +237,9 @@ fn load_bench(args: &Args) -> Result<Bench, String> {
         let lib = Library::standard(tech);
         let text = std::fs::read_to_string(vpath).map_err(|e| format!("{vpath}: {e}"))?;
         let netlist = verilog::parse_netlist(&text, &lib).map_err(|e| e.to_string())?;
+        netlist
+            .validate(&lib)
+            .map_err(|e| format!("{vpath}: {e}"))?;
         let dpath = args
             .opts
             .get("def-in")
@@ -1267,5 +1270,25 @@ mod tests {
     fn end_to_end_tiny_optimize() {
         let a = args(&["optimize", "--profile", "tiny"]);
         cmd_optimize(&a).expect("optimize runs");
+    }
+
+    #[test]
+    fn a_verilog_loop_is_reported_not_timed() {
+        let path = std::env::temp_dir().join(format!("dmeopt_loop_{}.v", std::process::id()));
+        let text = "module m (a);\n input a;\n wire x, y;\n NAND2X1 u0 (x, a, y);\n \
+                    INVX1 u1 (y, x);\nendmodule\n";
+        std::fs::write(&path, text).expect("write");
+        let vpath = path.to_str().expect("utf-8 path");
+        let err = load_bench(&args(&[
+            "analyze",
+            "--verilog-in",
+            vpath,
+            "--def-in",
+            "x.def",
+        ]))
+        .err()
+        .expect("a loop is an error");
+        std::fs::remove_file(&path).expect("remove");
+        assert!(err.contains("combinational cycle"), "{err}");
     }
 }

@@ -63,11 +63,147 @@ pub struct Netlist {
     pub primary_inputs: Vec<NetId>,
     /// Primary output nets.
     pub primary_outputs: Vec<NetId>,
-    /// Cached topological level decomposition (see
-    /// [`Netlist::topo_levels`]). Cell-master or placement changes keep it
-    /// valid; connectivity edits after the first `topo_levels` call must
-    /// go through [`Netlist::invalidate_levels`].
+    /// Cached compressed-sparse-row connectivity (see [`Netlist::flat`])
+    /// and topological level decomposition (see [`Netlist::topo_levels`]).
+    /// Cell-master or placement changes keep both valid; connectivity
+    /// edits after the first call must go through
+    /// [`Netlist::invalidate_connectivity`].
+    flat: std::sync::OnceLock<FlatNetlist>,
     levels: std::sync::OnceLock<Option<TopoLevels>>,
+}
+
+/// Read-only compressed-sparse-row view of a netlist's connectivity, the
+/// one source every hot timing and placement walk reads (see
+/// [`Netlist::flat`]). Indices are raw `u32` instance and net numbers;
+/// the fanin pairs keep [`Instance::inputs`]' pin order and the sinks keep
+/// [`Net::sinks`]' order, so a fold over the view visits exactly what a
+/// fold over the structs visits, in the same order.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct FlatNetlist {
+    /// Fanin pins of instance `i`: `fanin[fanin_start[i]..fanin_start[i + 1]]`.
+    fanin_start: Vec<u32>,
+    /// `(driver or NO_DRIVER, net)` per input pin.
+    fanin: Vec<(u32, u32)>,
+    /// Output net per instance.
+    output: Vec<u32>,
+    /// Sequential flag per instance.
+    sequential: Vec<bool>,
+    /// Driver (or `NO_DRIVER`) per net.
+    driver: Vec<u32>,
+    /// Sinks of net `k`: `sinks[sink_start[k]..sink_start[k + 1]]`.
+    sink_start: Vec<u32>,
+    /// Sink instance per net pin.
+    sinks: Vec<u32>,
+}
+
+impl FlatNetlist {
+    /// Driver slot of a net with no driving instance (a primary input).
+    pub const NO_DRIVER: u32 = u32::MAX;
+
+    /// Flattens `nl`'s instances and nets in one pass over each.
+    ///
+    /// # Panics
+    ///
+    /// Panics if an input pin references a net outside the netlist, or
+    /// if the pin count does not fit in `u32`.
+    pub fn build(nl: &Netlist) -> Self {
+        let offset = |len: usize| u32::try_from(len).expect("pin counts fit in u32");
+        let driver: Vec<u32> = nl
+            .nets
+            .iter()
+            .map(|net| net.driver.map_or(Self::NO_DRIVER, |d| d.0))
+            .collect();
+        let n = nl.instances.len();
+        let mut fanin_start = Vec::with_capacity(n + 1);
+        let mut fanin = Vec::new();
+        fanin_start.push(0);
+        for inst in &nl.instances {
+            fanin.extend(
+                inst.inputs
+                    .iter()
+                    .map(|net| (driver[net.0 as usize], net.0)),
+            );
+            fanin_start.push(offset(fanin.len()));
+        }
+        let mut sink_start = Vec::with_capacity(nl.nets.len() + 1);
+        let mut sinks = Vec::new();
+        sink_start.push(0);
+        for net in &nl.nets {
+            sinks.extend(net.sinks.iter().map(|&(s, _)| s.0));
+            sink_start.push(offset(sinks.len()));
+        }
+        Self {
+            fanin_start,
+            fanin,
+            output: nl.instances.iter().map(|i| i.output.0).collect(),
+            sequential: nl.instances.iter().map(|i| i.is_sequential).collect(),
+            driver,
+            sink_start,
+            sinks,
+        }
+    }
+
+    /// Number of instances.
+    pub fn num_instances(&self) -> usize {
+        self.output.len()
+    }
+
+    /// Number of nets.
+    pub fn num_nets(&self) -> usize {
+        self.driver.len()
+    }
+
+    /// `(driver or NO_DRIVER, net)` of each input pin of instance `i`, in
+    /// pin order.
+    #[inline]
+    pub fn fanin(&self, i: usize) -> &[(u32, u32)] {
+        &self.fanin[self.fanin_start[i] as usize..self.fanin_start[i + 1] as usize]
+    }
+
+    /// Output net of instance `i`.
+    #[inline]
+    pub fn output(&self, i: usize) -> u32 {
+        self.output[i]
+    }
+
+    /// Whether instance `i` is sequential.
+    #[inline]
+    pub fn is_sequential(&self, i: usize) -> bool {
+        self.sequential[i]
+    }
+
+    /// Driver of net `k`, or [`FlatNetlist::NO_DRIVER`].
+    #[inline]
+    pub fn driver(&self, k: usize) -> u32 {
+        self.driver[k]
+    }
+
+    /// Sink instances of net `k`, one per sink pin, in [`Net::sinks`]
+    /// order.
+    #[inline]
+    pub fn sinks(&self, k: usize) -> &[u32] {
+        &self.sinks[self.sink_start[k] as usize..self.sink_start[k + 1] as usize]
+    }
+
+    /// Nets of instance `i`'s pins: its inputs in pin order, then its
+    /// output.
+    #[inline]
+    pub fn pin_nets(&self, i: usize) -> impl Iterator<Item = u32> + '_ {
+        self.fanin(i)
+            .iter()
+            .map(|&(_, net)| net)
+            .chain(std::iter::once(self.output[i]))
+    }
+
+    /// Combinational fanin instances of `i` (see [`Netlist::comb_fanin`]),
+    /// one per pin, in pin order.
+    #[inline]
+    pub fn comb_fanin(&self, i: usize) -> impl Iterator<Item = u32> + '_ {
+        self.fanin(i)
+            .iter()
+            .map(|&(d, _)| d)
+            .filter(move |&d| d != Self::NO_DRIVER && !self.sequential[d as usize])
+    }
 }
 
 /// Level decomposition of the combinational timing graph: level 0 holds
@@ -229,62 +365,76 @@ impl Netlist {
         }
     }
 
-    /// Topological level sets of the combinational timing graph, computed
-    /// once and cached. Returns `None` if the combinational part contains
-    /// a cycle.
+    /// The compressed-sparse-row view of the connectivity, built once and
+    /// cached. Every hot walk reads it instead of chasing
+    /// [`Instance::inputs`] and [`Net`] through their structs; fetch it
+    /// once per pass, not per gate. [`Netlist::validate`] does not read
+    /// it: it checks the structs themselves.
     ///
     /// The cache stays valid across cell-master swaps and placement moves
     /// (neither changes connectivity); after editing `instances`/`nets`
-    /// connectivity, call [`Netlist::invalidate_levels`] first.
+    /// connectivity, call [`Netlist::invalidate_connectivity`] first.
+    pub fn flat(&self) -> &FlatNetlist {
+        self.flat.get_or_init(|| FlatNetlist::build(self))
+    }
+
+    /// Topological level sets of the combinational timing graph, computed
+    /// once from [`Netlist::flat`] and cached. Returns `None` if the
+    /// combinational part contains a cycle.
+    ///
+    /// The cache stays valid across cell-master swaps and placement moves
+    /// (neither changes connectivity); after editing `instances`/`nets`
+    /// connectivity, call [`Netlist::invalidate_connectivity`] first.
     pub fn topo_levels(&self) -> Option<&TopoLevels> {
         self.levels.get_or_init(|| self.compute_levels()).as_ref()
     }
 
-    /// Drops the cached level decomposition (required after connectivity
-    /// edits so [`Netlist::topo_levels`] recomputes).
-    pub fn invalidate_levels(&mut self) {
+    /// Drops the cached connectivity view and level decomposition
+    /// (required after connectivity edits so [`Netlist::flat`] and
+    /// [`Netlist::topo_levels`] rebuild).
+    pub fn invalidate_connectivity(&mut self) {
+        self.flat = std::sync::OnceLock::new();
         self.levels = std::sync::OnceLock::new();
     }
 
     fn compute_levels(&self) -> Option<TopoLevels> {
-        let n = self.instances.len();
+        let flat = self.flat();
+        let n = flat.num_instances();
         let mut indegree = vec![0u32; n];
         let mut depth = vec![0u32; n];
         // Sequential cells are seeded strictly before zero-fanin
         // combinational gates: a gate fed only by flip-flops has zero
         // *combinational* indegree but still reads the flops' launch
-        // arrivals, so it must land on a strictly higher level.
-        let mut queue: Vec<InstId> = Vec::new();
-        let mut comb_seeds: Vec<InstId> = Vec::new();
-        for id in self.inst_ids() {
-            if self.instance(id).is_sequential {
-                queue.push(id);
+        // arrivals, so it must land on a strictly higher level. Both
+        // classes are pushed in ascending id order.
+        let mut queue: Vec<u32> = Vec::with_capacity(n);
+        let mut comb_seeds: Vec<u32> = Vec::new();
+        for (i, indeg) in indegree.iter_mut().enumerate() {
+            if flat.is_sequential(i) {
+                queue.push(i as u32);
                 continue;
             }
-            let deg = self.comb_fanin(id).len() as u32;
-            indegree[id.0 as usize] = deg;
-            if deg == 0 {
-                comb_seeds.push(id);
+            *indeg = flat.comb_fanin(i).count() as u32;
+            if *indeg == 0 {
+                comb_seeds.push(i as u32);
             }
         }
-        queue.sort_unstable();
-        comb_seeds.sort_unstable();
         queue.extend(comb_seeds);
         let mut head = 0;
         while head < queue.len() {
-            let id = queue[head];
+            let i = queue[head] as usize;
             head += 1;
-            let seq = self.instance(id).is_sequential;
-            let d = depth[id.0 as usize];
-            for &(sink, _) in &self.net(self.instance(id).output).sinks {
-                if self.instance(sink).is_sequential {
+            let seq = flat.is_sequential(i);
+            let d = depth[i];
+            for &sink in flat.sinks(flat.output(i) as usize) {
+                let s = sink as usize;
+                if flat.is_sequential(s) {
                     // The sink's D input is an endpoint; no intra-cycle arc.
                     continue;
                 }
-                let s = sink.0 as usize;
                 depth[s] = depth[s].max(d + 1);
                 if !seq {
-                    debug_assert!(indegree[s] > 0, "indegree underflow at {sink}");
+                    debug_assert!(indegree[s] > 0, "indegree underflow at i{sink}");
                     indegree[s] -= 1;
                     if indegree[s] == 0 {
                         queue.push(sink);
@@ -325,6 +475,8 @@ impl Netlist {
     ///
     /// Returns the first [`ValidateError`] found.
     pub fn validate(&self, lib: &Library) -> Result<(), ValidateError> {
+        // Input pins per net: a net lists each of them exactly once.
+        let mut pins_on = vec![0usize; self.nets.len()];
         for id in self.inst_ids() {
             let inst = self.instance(id);
             if inst.cell_idx >= lib.cells().len() {
@@ -346,12 +498,22 @@ impl Netlist {
                 if !self.net(net).sinks.contains(&(id, pin)) {
                     return Err(ValidateError::InconsistentNet(net));
                 }
+                pins_on[net.0 as usize] += 1;
             }
         }
         for (i, net) in self.nets.iter().enumerate() {
             let nid = NetId(i as u32);
-            if net.driver.is_none() && !self.primary_inputs.contains(&nid) {
-                return Err(ValidateError::UndrivenNet(nid));
+            match net.driver {
+                None if !self.primary_inputs.contains(&nid) => {
+                    return Err(ValidateError::UndrivenNet(nid));
+                }
+                Some(d) if self.instances.get(d.0 as usize).map(|i| i.output) != Some(nid) => {
+                    return Err(ValidateError::InconsistentNet(nid));
+                }
+                _ => {}
+            }
+            if net.sinks.len() != pins_on[i] {
+                return Err(ValidateError::InconsistentNet(nid));
             }
             for &(sink, pin) in &net.sinks {
                 if self.instance(sink).inputs.get(pin) != Some(&nid) {
@@ -510,7 +672,7 @@ mod tests {
         nl.instances[1].inputs[0] = NetId(0);
         nl.nets[1].sinks.retain(|&(i, _)| i != InstId(1));
         nl.nets[0].sinks.push((InstId(1), 0));
-        nl.invalidate_levels();
+        nl.invalidate_connectivity();
         let after = nl.topo_levels().expect("acyclic");
         assert!(after.depth[1] < before.depth[1]);
     }
@@ -532,6 +694,24 @@ mod tests {
         let mut nl = small(&lib);
         nl.primary_inputs.clear(); // net 0 now has no driver and no PI status
         assert_eq!(nl.validate(&lib), Err(ValidateError::UndrivenNet(NetId(0))));
+    }
+
+    #[test]
+    fn repeated_sinks_and_stale_drivers_are_inconsistent() {
+        let lib = Library::standard(Technology::n65());
+        let mut nl = small(&lib);
+        nl.nets[1].sinks.push((InstId(1), 0));
+        assert_eq!(
+            nl.validate(&lib),
+            Err(ValidateError::InconsistentNet(NetId(1)))
+        );
+        // u0 drives net 1; a second net naming it as driver is stale.
+        let mut nl = small(&lib);
+        nl.nets[0].driver = Some(InstId(0));
+        assert_eq!(
+            nl.validate(&lib),
+            Err(ValidateError::InconsistentNet(NetId(0)))
+        );
     }
 
     #[test]

@@ -32,5 +32,5 @@ pub mod stats;
 pub mod verilog;
 
 pub use gen::Design;
-pub use graph::{InstId, Instance, Net, NetId, Netlist, TopoLevels, ValidateError};
+pub use graph::{FlatNetlist, InstId, Instance, Net, NetId, Netlist, TopoLevels, ValidateError};
 pub use profiles::DesignProfile;

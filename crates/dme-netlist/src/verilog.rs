@@ -177,6 +177,8 @@ pub fn parse_netlist(text: &str, lib: &Library) -> Result<Netlist, ParseVerilogE
         net_ids.insert(name.to_string(), id);
         id
     };
+    // Per net: whether an `input` statement declared it.
+    let mut is_input: Vec<bool> = Vec::new();
     let mut saw_module = false;
     let mut outputs: Vec<String> = Vec::new();
     let mut assigns: Vec<(String, String)> = Vec::new();
@@ -200,7 +202,15 @@ pub fn parse_netlist(text: &str, lib: &Library) -> Result<Netlist, ParseVerilogE
                     continue;
                 }
                 let id = intern(&mut nl, name);
-                if !nl.primary_inputs.contains(&id) {
+                let k = id.0 as usize;
+                if nl.nets[k].driver.is_some() {
+                    return Err(ParseVerilogError::MultipleDrivers {
+                        net: name.to_string(),
+                    });
+                }
+                is_input.resize(nl.nets.len(), false);
+                if !is_input[k] {
+                    is_input[k] = true;
                     nl.primary_inputs.push(id);
                 }
             }
@@ -229,10 +239,13 @@ pub fn parse_netlist(text: &str, lib: &Library) -> Result<Netlist, ParseVerilogE
                 line,
                 message: format!("unrecognized statement {stmt:?}"),
             })?;
-            let close = stmt.rfind(')').ok_or_else(|| ParseVerilogError::Syntax {
-                line,
-                message: "missing ')'".into(),
-            })?;
+            let close = stmt
+                .rfind(')')
+                .filter(|&close| close > open)
+                .ok_or_else(|| ParseVerilogError::Syntax {
+                    line,
+                    message: "missing ')' after '('".into(),
+                })?;
             let head: Vec<&str> = stmt[..open].split_whitespace().collect();
             let [master_name, inst_name] = head[..] else {
                 return Err(ParseVerilogError::Syntax {
@@ -263,12 +276,13 @@ pub fn parse_netlist(text: &str, lib: &Library) -> Result<Netlist, ParseVerilogE
             let out_net = intern(&mut nl, conns[0]);
             let inputs: Vec<NetId> = conns[1..].iter().map(|c| intern(&mut nl, c)).collect();
             let id = InstId(nl.instances.len() as u32);
-            if nl.nets[out_net.0 as usize].driver.is_some() {
+            let k = out_net.0 as usize;
+            if nl.nets[k].driver.is_some() || is_input.get(k).copied().unwrap_or(false) {
                 return Err(ParseVerilogError::MultipleDrivers {
                     net: conns[0].to_string(),
                 });
             }
-            nl.nets[out_net.0 as usize].driver = Some(id);
+            nl.nets[k].driver = Some(id);
             for (pin, &net) in inputs.iter().enumerate() {
                 nl.nets[net.0 as usize].sinks.push((id, pin));
             }
@@ -369,6 +383,31 @@ mod tests {
             parse_netlist(text, &lib),
             Err(ParseVerilogError::MultipleDrivers { .. })
         ));
+    }
+
+    #[test]
+    fn close_before_open_is_a_syntax_error() {
+        let lib = lib();
+        let text = "module m (a);\n input a;\n INVX1 u0) (w, a;\nendmodule\n";
+        assert!(matches!(
+            parse_netlist(text, &lib),
+            Err(ParseVerilogError::Syntax { line: 3, .. })
+        ));
+    }
+
+    #[test]
+    fn an_output_driving_a_declared_input_is_rejected() {
+        let lib = lib();
+        for text in [
+            "module m (a, b);\n input a, b;\n INVX1 u0 (a, b);\nendmodule\n",
+            "module m (a, b);\n input b;\n INVX1 u0 (a, b);\n input a;\nendmodule\n",
+        ] {
+            assert_eq!(
+                parse_netlist(text, &lib).err(),
+                Some(ParseVerilogError::MultipleDrivers { net: "a".into() }),
+                "{text}"
+            );
+        }
     }
 
     #[test]

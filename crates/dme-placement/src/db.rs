@@ -1,10 +1,10 @@
 //! Placement database: die geometry and per-instance coordinates.
 
 use crate::delta::PlacementDelta;
-use crate::hpwl::BoundingBox;
+use crate::hpwl::{BoundingBox, BoxFold};
 use crate::rowindex::RowIndex;
 use dme_liberty::Library;
-use dme_netlist::{InstId, NetId, Netlist};
+use dme_netlist::{FlatNetlist, InstId, NetId, Netlist};
 use std::error::Error;
 use std::fmt;
 
@@ -153,45 +153,32 @@ impl Placement {
         BoundingBox::of_points(&self.net_pins(lib, nl, net)).map_or(0.0, |b| b.half_perimeter())
     }
 
-    /// [`Placement::net_hpwl`] with the pad looked up in a prebuilt
-    /// [`PadIndex`] and the box folded in place, in the pin order of
+    /// [`Placement::net_hpwl`] with the pins read from `flat` (`nl`'s
+    /// connectivity view), the pad looked up in a prebuilt [`PadIndex`]
+    /// and the box folded in place, in the pin order of
     /// [`Placement::net_pins`] (driver, pad, sinks): O(pins), no
     /// allocation, and bit-identical to `net_hpwl`.
     pub fn net_hpwl_indexed(
         &self,
         lib: &Library,
         nl: &Netlist,
+        flat: &FlatNetlist,
         pads: &PadIndex,
         net: NetId,
     ) -> f64 {
-        let n = nl.net(net);
-        let mut bb: Option<BoundingBox> = None;
-        let mut push = |(x, y): (f64, f64)| match &mut bb {
-            None => {
-                bb = Some(BoundingBox {
-                    x_min: x,
-                    x_max: x,
-                    y_min: y,
-                    y_max: y,
-                })
-            }
-            Some(b) => {
-                b.x_min = b.x_min.min(x);
-                b.x_max = b.x_max.max(x);
-                b.y_min = b.y_min.min(y);
-                b.y_max = b.y_max.max(y);
-            }
-        };
-        if let Some(drv) = n.driver {
-            push(self.center(lib, nl, drv));
+        let k = net.0 as usize;
+        let mut bb = BoxFold::default();
+        let drv = flat.driver(k);
+        if drv != FlatNetlist::NO_DRIVER {
+            bb.push(self.center(lib, nl, InstId(drv)));
         }
         if let Some(j) = pads.pad_of(net) {
-            push(self.pi_pos[j]);
+            bb.push(self.pi_pos[j]);
         }
-        for &(sink, _) in &n.sinks {
-            push(self.center(lib, nl, sink));
+        for &sink in flat.sinks(k) {
+            bb.push(self.center(lib, nl, InstId(sink)));
         }
-        bb.map_or(0.0, |b| b.half_perimeter())
+        bb.0.map_or(0.0, |b| b.half_perimeter())
     }
 
     /// Total HPWL over all nets, µm.
@@ -203,19 +190,22 @@ impl Placement {
 
     /// The dosePl *neighborhood bounding box* of a cell: the bounding box
     /// of the cell itself, all its fanin cells and all its fanout cells
-    /// (Fig. 9 of the paper).
+    /// (Fig. 9 of the paper), folded in that order from the netlist's
+    /// connectivity view.
     pub fn neighborhood_bbox(&self, lib: &Library, nl: &Netlist, id: InstId) -> BoundingBox {
-        let mut pts = vec![self.center(lib, nl, id)];
-        let inst = nl.instance(id);
-        for &net in &inst.inputs {
-            if let Some(drv) = nl.net(net).driver {
-                pts.push(self.center(lib, nl, drv));
+        let flat = nl.flat();
+        let i = id.0 as usize;
+        let mut bb = BoxFold::default();
+        bb.push(self.center(lib, nl, id));
+        for &(drv, _) in flat.fanin(i) {
+            if drv != FlatNetlist::NO_DRIVER {
+                bb.push(self.center(lib, nl, InstId(drv)));
             }
         }
-        for &(sink, _) in &nl.net(inst.output).sinks {
-            pts.push(self.center(lib, nl, sink));
+        for &sink in flat.sinks(flat.output(i) as usize) {
+            bb.push(self.center(lib, nl, InstId(sink)));
         }
-        BoundingBox::of_points(&pts).expect("nonempty point set")
+        bb.0.expect("nonempty point set")
     }
 
     /// Manhattan distance between two cell centers, µm.
@@ -555,7 +545,7 @@ mod tests {
             let net = NetId(i);
             assert_eq!(pads.pad_of(net).map(|j| p.pi_pos[j]), p.pi_pad(nl, net));
             assert_eq!(
-                p.net_hpwl_indexed(lib, nl, &pads, net).to_bits(),
+                p.net_hpwl_indexed(lib, nl, nl.flat(), &pads, net).to_bits(),
                 p.net_hpwl(lib, nl, net).to_bits(),
                 "net {i}"
             );

@@ -16,21 +16,11 @@ pub struct BoundingBox {
 impl BoundingBox {
     /// Bounding box of a point set; `None` when empty.
     pub fn of_points(points: &[(f64, f64)]) -> Option<Self> {
-        let mut it = points.iter();
-        let &(x, y) = it.next()?;
-        let mut b = BoundingBox {
-            x_min: x,
-            x_max: x,
-            y_min: y,
-            y_max: y,
-        };
-        for &(x, y) in it {
-            b.x_min = b.x_min.min(x);
-            b.x_max = b.x_max.max(x);
-            b.y_min = b.y_min.min(y);
-            b.y_max = b.y_max.max(y);
+        let mut fold = BoxFold::default();
+        for &p in points {
+            fold.push(p);
         }
-        Some(b)
+        fold.0
     }
 
     /// Half-perimeter (width + height).
@@ -58,6 +48,35 @@ impl BoundingBox {
             x_max: self.x_max + margin,
             y_min: self.y_min - margin,
             y_max: self.y_max + margin,
+        }
+    }
+}
+
+/// A bounding box folded point by point in place, with no point buffer:
+/// the first point opens the box and each later one widens it, so a fold
+/// equals [`BoundingBox::of_points`] over the same points in the same
+/// order bit for bit.
+#[derive(Debug, Default)]
+pub(crate) struct BoxFold(pub(crate) Option<BoundingBox>);
+
+impl BoxFold {
+    #[inline]
+    pub(crate) fn push(&mut self, (x, y): (f64, f64)) {
+        match &mut self.0 {
+            None => {
+                self.0 = Some(BoundingBox {
+                    x_min: x,
+                    x_max: x,
+                    y_min: y,
+                    y_max: y,
+                })
+            }
+            Some(b) => {
+                b.x_min = b.x_min.min(x);
+                b.x_max = b.x_max.max(x);
+                b.y_min = b.y_min.min(y);
+                b.y_max = b.y_max.max(y);
+            }
         }
     }
 }

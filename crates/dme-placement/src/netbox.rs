@@ -6,11 +6,12 @@
 //! incident net per query. This module keeps the answer incremental:
 //!
 //! - [`NetPins`] is the static pin structure — per-net pin *owners*
-//!   (instances, plus the fixed PI pad when present) and per-instance
-//!   deduped incident-net lists with pin multiplicities. Pins are
-//!   identified by the instance that owns them, never by coordinate
-//!   equality, so a pin that merely coincides with a moved cell's center
-//!   is not dragged along (the identity rule).
+//!   (the driver then the sinks, read from the netlist's connectivity
+//!   view [`Netlist::flat`], plus the fixed PI pad when present) and
+//!   per-instance deduped incident-net lists with pin multiplicities, in
+//!   flat arrays. Pins are identified by the instance that owns them,
+//!   never by coordinate equality, so a pin that merely coincides with a
+//!   moved cell's center is not dragged along (the identity rule).
 //! - [`NetBoxCache`] caches each net's bounding box together with the
 //!   *multiplicity of pins on each extreme*. Removing a cell's pins only
 //!   requires a rescan when the cell held an extreme alone (a
@@ -21,81 +22,120 @@
 //! the same fold, and `f64::min`/`f64::max` folds over finite,
 //! non-negative-zero coordinates are order-independent.
 
-use crate::hpwl::BoundingBox;
+use crate::hpwl::{BoundingBox, BoxFold};
 use crate::{PadIndex, Placement};
 use dme_liberty::Library;
-use dme_netlist::{InstId, NetId, Netlist};
+use dme_netlist::{FlatNetlist, InstId, NetId, Netlist};
 
-/// Static pin-ownership structure of a netlist (see module docs).
+/// The instances owning net `k`'s cell pins: its driver, then its sinks
+/// (one per sink pin).
+fn owners(flat: &FlatNetlist, k: usize) -> impl Iterator<Item = InstId> + '_ {
+    let drv = flat.driver(k);
+    (drv != FlatNetlist::NO_DRIVER)
+        .then_some(drv)
+        .into_iter()
+        .chain(flat.sinks(k).iter().copied())
+        .map(InstId)
+}
+
+/// Static pin-ownership structure of a netlist (see module docs): the
+/// pads per net and, per instance, its incident nets with multiplicities
+/// in compressed sparse rows. A net's owners come from the connectivity
+/// view, so nothing here is a per-net or per-instance `Vec`.
 #[derive(Debug, Clone)]
 pub struct NetPins {
     /// Per net: PI pad position, when the net is a primary input.
     pad: Vec<Option<(f64, f64)>>,
-    /// Per net: owning instance of every cell pin (driver, then sinks).
-    owners: Vec<Vec<InstId>>,
-    /// Per instance: incident nets, sorted and deduped.
-    inst_nets: Vec<Vec<NetId>>,
-    /// Per instance: pin multiplicity on the matching `inst_nets` entry.
-    inst_mult: Vec<Vec<u32>>,
+    /// Incident nets of instance `i`, sorted and deduped:
+    /// `inst_nets[inst_start[i]..inst_start[i + 1]]`.
+    inst_start: Vec<u32>,
+    inst_nets: Vec<NetId>,
+    /// Pin multiplicity on the matching `inst_nets` entry.
+    inst_mult: Vec<u32>,
 }
 
 impl NetPins {
-    /// Builds the structure. Pad positions are read from `placement` but
-    /// never move, so the result stays valid across cell moves.
+    /// Builds the structure in flat passes. Pad positions are read from
+    /// `placement` but never move, so the result stays valid across cell
+    /// moves.
+    ///
+    /// An instance's multiplicity on a net is the number of its own pins
+    /// (inputs and output) on that net — on any netlist that passes
+    /// `Netlist::validate`, exactly how often the instance appears among
+    /// the net's owners.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the incident-net count does not fit in `u32`.
     pub fn build(nl: &Netlist, placement: &Placement) -> Self {
-        let num_nets = nl.num_nets();
-        let n = nl.num_instances();
+        let flat = nl.flat();
         let pads = PadIndex::build(nl);
-        let mut pad = vec![None; num_nets];
-        let mut owners: Vec<Vec<InstId>> = vec![Vec::new(); num_nets];
-        for net_idx in 0..num_nets {
-            let id = NetId(net_idx as u32);
-            let net = nl.net(id);
-            if let Some(drv) = net.driver {
-                owners[net_idx].push(drv);
-            }
-            pad[net_idx] = pads.pad_of(id).map(|j| placement.pi_pos[j]);
-            for &(sink, _) in &net.sinks {
-                owners[net_idx].push(sink);
-            }
-        }
-        let mut inst_nets: Vec<Vec<NetId>> = vec![Vec::new(); n];
-        let mut inst_mult: Vec<Vec<u32>> = vec![Vec::new(); n];
+        let pad = (0..nl.num_nets() as u32)
+            .map(|k| pads.pad_of(NetId(k)).map(|j| placement.pi_pos[j]))
+            .collect();
+        let n = flat.num_instances();
+        let mut inst_start = Vec::with_capacity(n + 1);
+        let mut inst_nets = Vec::new();
+        let mut inst_mult = Vec::new();
+        inst_start.push(0);
+        let mut pins: Vec<u32> = Vec::new();
         for i in 0..n {
-            let id = InstId(i as u32);
-            let inst = nl.instance(id);
-            let mut nets: Vec<NetId> = inst.inputs.clone();
-            nets.push(inst.output);
-            nets.sort_unstable();
-            nets.dedup();
-            let mult = nets
-                .iter()
-                .map(|&net| owners[net.0 as usize].iter().filter(|&&o| o == id).count() as u32)
-                .collect();
-            inst_nets[i] = nets;
-            inst_mult[i] = mult;
+            pins.clear();
+            pins.extend(flat.pin_nets(i));
+            pins.sort_unstable();
+            for run in pins.chunk_by(|a, b| a == b) {
+                inst_nets.push(NetId(run[0]));
+                inst_mult.push(run.len() as u32);
+            }
+            inst_start.push(u32::try_from(inst_nets.len()).expect("pin counts fit in u32"));
         }
         Self {
             pad,
-            owners,
+            inst_start,
             inst_nets,
             inst_mult,
         }
     }
 
+    fn row(&self, inst: InstId) -> std::ops::Range<usize> {
+        let i = inst.0 as usize;
+        self.inst_start[i] as usize..self.inst_start[i + 1] as usize
+    }
+
     /// The deduped incident nets of an instance (inputs + output).
     pub fn nets_of(&self, inst: InstId) -> &[NetId] {
-        &self.inst_nets[inst.0 as usize]
+        &self.inst_nets[self.row(inst)]
     }
 
     /// Pin multiplicities parallel to [`NetPins::nets_of`].
     pub fn mult_of(&self, inst: InstId) -> &[u32] {
-        &self.inst_mult[inst.0 as usize]
+        &self.inst_mult[self.row(inst)]
     }
 
-    /// Number of pins on a net (cell pins + PI pad).
-    pub fn pin_count(&self, net: NetId) -> usize {
-        self.owners[net.0 as usize].len() + usize::from(self.pad[net.0 as usize].is_some())
+    /// Number of pins on a net of `nl` (cell pins + PI pad).
+    pub fn pin_count(&self, nl: &Netlist, net: NetId) -> usize {
+        let k = net.0 as usize;
+        owners(nl.flat(), k).count() + usize::from(self.pad[k].is_some())
+    }
+
+    /// The box over net `k`'s pad and its owners' pins, each owner at
+    /// `at(owner)` or skipped when that is `None`, folded in that order.
+    fn fold(
+        &self,
+        flat: &FlatNetlist,
+        k: usize,
+        mut at: impl FnMut(InstId) -> Option<(f64, f64)>,
+    ) -> Option<BoundingBox> {
+        let mut bb = BoxFold::default();
+        if let Some(p) = self.pad[k] {
+            bb.push(p);
+        }
+        for o in owners(flat, k) {
+            if let Some(p) = at(o) {
+                bb.push(p);
+            }
+        }
+        bb.0
     }
 
     /// The net's bounding box recomputed from scratch at the current
@@ -109,34 +149,12 @@ impl NetPins {
         net: NetId,
         moved: Option<(InstId, (f64, f64))>,
     ) -> Option<BoundingBox> {
-        let ni = net.0 as usize;
-        let mut bb: Option<BoundingBox> = None;
-        let mut push = |p: (f64, f64)| match &mut bb {
-            None => {
-                bb = Some(BoundingBox {
-                    x_min: p.0,
-                    x_max: p.0,
-                    y_min: p.1,
-                    y_max: p.1,
-                })
-            }
-            Some(b) => {
-                b.x_min = b.x_min.min(p.0);
-                b.x_max = b.x_max.max(p.0);
-                b.y_min = b.y_min.min(p.1);
-                b.y_max = b.y_max.max(p.1);
-            }
-        };
-        if let Some(p) = self.pad[ni] {
-            push(p);
-        }
-        for &o in &self.owners[ni] {
-            match moved {
-                Some((m, c)) if m == o => push(c),
-                _ => push(placement.center(lib, nl, o)),
-            }
-        }
-        bb
+        self.fold(nl.flat(), net.0 as usize, |o| {
+            Some(match moved {
+                Some((m, c)) if m == o => c,
+                _ => placement.center(lib, nl, o),
+            })
+        })
     }
 
     /// Like [`NetPins::scratch_bbox`], but with `excluded`'s pins dropped
@@ -149,17 +167,9 @@ impl NetPins {
         net: NetId,
         excluded: InstId,
     ) -> Option<BoundingBox> {
-        let ni = net.0 as usize;
-        let mut pts: Vec<(f64, f64)> = Vec::with_capacity(self.owners[ni].len() + 1);
-        if let Some(p) = self.pad[ni] {
-            pts.push(p);
-        }
-        for &o in &self.owners[ni] {
-            if o != excluded {
-                pts.push(placement.center(lib, nl, o));
-            }
-        }
-        BoundingBox::of_points(&pts)
+        self.fold(nl.flat(), net.0 as usize, |o| {
+            (o != excluded).then(|| placement.center(lib, nl, o))
+        })
     }
 }
 
@@ -198,8 +208,9 @@ impl NetBoxCache {
     /// Builds the cache consistent with `placement`.
     pub fn build(lib: &Library, nl: &Netlist, placement: &Placement) -> Self {
         let pins = NetPins::build(nl, placement);
+        let flat = nl.flat();
         let boxes = (0..nl.num_nets())
-            .map(|ni| Self::compute(&pins, lib, nl, placement, NetId(ni as u32)))
+            .map(|k| Self::compute(&pins, lib, nl, flat, placement, k))
             .collect();
         Self {
             pins,
@@ -213,11 +224,11 @@ impl NetBoxCache {
         pins: &NetPins,
         lib: &Library,
         nl: &Netlist,
+        flat: &FlatNetlist,
         placement: &Placement,
-        net: NetId,
+        k: usize,
     ) -> Option<CachedBox> {
-        let bb = pins.scratch_bbox(lib, nl, placement, net, None)?;
-        let ni = net.0 as usize;
+        let bb = pins.fold(flat, k, |o| Some(placement.center(lib, nl, o)))?;
         let mut c = CachedBox {
             bb,
             n_xmin: 0,
@@ -231,10 +242,10 @@ impl NetBoxCache {
             c.n_ymin += u32::from(p.1 == bb.y_min);
             c.n_ymax += u32::from(p.1 == bb.y_max);
         };
-        if let Some(p) = pins.pad[ni] {
+        if let Some(p) = pins.pad[k] {
             count(p);
         }
-        for &o in &pins.owners[ni] {
+        for o in owners(flat, k) {
             count(placement.center(lib, nl, o));
         }
         Some(c)
@@ -322,8 +333,10 @@ impl NetBoxCache {
         }
         nets.sort_unstable();
         nets.dedup();
+        let flat = nl.flat();
         for &net in &nets {
-            self.boxes[net.0 as usize] = Self::compute(&self.pins, lib, nl, placement, net);
+            let k = net.0 as usize;
+            self.boxes[k] = Self::compute(&self.pins, lib, nl, flat, placement, k);
         }
         self.scratch_nets = nets;
     }
@@ -359,6 +372,75 @@ mod tests {
             for &net in cache.pins().nets_of(m).to_vec().iter() {
                 let scratch = cache.pins().scratch_bbox(&lib, nl, &p, net, None);
                 assert_eq!(cache.bbox(net), scratch);
+            }
+        }
+    }
+
+    /// The owner-count rule `NetPins` used before its flat layout, kept as
+    /// the oracle: an instance's incident nets are its pins' nets sorted
+    /// and deduped, and its multiplicity on each is how often it appears
+    /// among the net's driver and sinks.
+    fn owner_count_oracle(nl: &Netlist) -> Vec<(Vec<NetId>, Vec<u32>)> {
+        nl.instances
+            .iter()
+            .enumerate()
+            .map(|(i, inst)| {
+                let id = InstId(i as u32);
+                let mut nets: Vec<NetId> = inst.inputs.clone();
+                nets.push(inst.output);
+                nets.sort_unstable();
+                nets.dedup();
+                let mult = nets
+                    .iter()
+                    .map(|&net| {
+                        let n = nl.net(net);
+                        let sinks = n.sinks.iter().filter(|&&(s, _)| s == id).count();
+                        (usize::from(n.driver == Some(id)) + sinks) as u32
+                    })
+                    .collect();
+                (nets, mult)
+            })
+            .collect()
+    }
+
+    #[test]
+    fn nets_and_multiplicities_match_the_owner_count_rule() {
+        let lib = Library::standard(Technology::n65());
+        for profile in [
+            profiles::tiny(),
+            profiles::small(),
+            profiles::scaling(5000, 8),
+        ] {
+            let d = gen::generate(&profile, &lib);
+            let nl = &d.netlist;
+            let p = crate::place(&d, &lib);
+            let pins = NetPins::build(nl, &p);
+            let mut repeated = 0;
+            for (i, (nets, mult)) in owner_count_oracle(nl).into_iter().enumerate() {
+                let id = InstId(i as u32);
+                assert_eq!(
+                    pins.nets_of(id),
+                    &nets[..],
+                    "{}: nets of {id}",
+                    profile.name
+                );
+                assert_eq!(
+                    pins.mult_of(id),
+                    &mult[..],
+                    "{}: mult of {id}",
+                    profile.name
+                );
+                repeated += mult.iter().filter(|&&m| m > 1).count();
+            }
+            // A net read on two pins of one gate shows up as a multiplicity.
+            assert!(repeated > 0, "{}: no repeated pin", profile.name);
+            for k in 0..nl.num_nets() {
+                let net = NetId(k as u32);
+                let n = nl.net(net);
+                let want = usize::from(n.driver.is_some())
+                    + n.sinks.len()
+                    + usize::from(p.pi_pad(nl, net).is_some());
+                assert_eq!(pins.pin_count(nl, net), want, "pins of {net}");
             }
         }
     }

@@ -123,15 +123,12 @@ struct PinLists {
 
 impl PinLists {
     fn build(nl: &Netlist, pads: &[(f64, f64)]) -> PinLists {
-        let n = nl.num_instances();
-        let pins_of = |i: usize| {
-            let inst = &nl.instances[i];
-            inst.inputs.iter().chain(std::iter::once(&inst.output))
-        };
+        let flat = nl.flat();
+        let n = flat.num_instances();
         let mut count = vec![0u32; nl.num_nets()];
         for i in 0..n {
-            for &net in pins_of(i) {
-                count[net.0 as usize] += 1;
+            for net in flat.pin_nets(i) {
+                count[net as usize] += 1;
             }
         }
         for &pi in &nl.primary_inputs {
@@ -142,8 +139,8 @@ impl PinLists {
         // toward.
         let mut slot: Vec<Option<usize>> = vec![None; nl.num_nets()];
         let mut net_start = vec![0];
-        for (k, net) in nl.nets.iter().enumerate() {
-            if net.sinks.len() <= 64 && count[k] >= 2 {
+        for k in 0..nl.num_nets() {
+            if flat.sinks(k).len() <= 64 && count[k] >= 2 {
                 slot[k] = Some(net_start.len() - 1);
                 net_start.push(net_start[net_start.len() - 1] + count[k] as usize);
             }
@@ -155,8 +152,8 @@ impl PinLists {
         let mut inst_nets = Vec::new();
         inst_start.push(0);
         for i in 0..n {
-            for &net in pins_of(i) {
-                if let Some(k) = slot[net.0 as usize] {
+            for net in flat.pin_nets(i) {
+                if let Some(k) = slot[net as usize] {
                     net_pins[fill[k]] = pin(i);
                     fill[k] += 1;
                     inst_nets.push(pin(k));
@@ -228,33 +225,35 @@ impl PinLists {
 }
 
 /// Combinational depth of every instance (sequential cells sit at their
-/// average fanout level so register banks interleave with their logic).
+/// average fanout level so register banks interleave with their logic),
+/// walked over the netlist's cached levels and connectivity view: every
+/// gate's combinational fanins sit on lower levels.
 fn comb_levels(nl: &Netlist) -> Vec<usize> {
-    let order = nl.topo_order().expect("acyclic netlist");
-    let mut level = vec![0usize; nl.num_instances()];
-    for &id in &order {
+    let levels = nl.topo_levels().expect("acyclic netlist");
+    let flat = nl.flat();
+    let n = flat.num_instances();
+    let mut level = vec![0usize; n];
+    for &id in levels.levels.iter().flatten() {
         let i = id.0 as usize;
-        if nl.instance(id).is_sequential {
+        if flat.is_sequential(i) {
             continue;
         }
-        level[i] = nl
-            .comb_fanin(id)
-            .iter()
-            .map(|f| level[f.0 as usize] + 1)
+        level[i] = flat
+            .comb_fanin(i)
+            .map(|f| level[f as usize] + 1)
             .max()
             .unwrap_or(1);
     }
     // Sequential cells: place at the mean level of their consumers.
-    for id in nl.inst_ids() {
-        let i = id.0 as usize;
-        if !nl.instance(id).is_sequential {
+    for i in 0..n {
+        if !flat.is_sequential(i) {
             continue;
         }
-        let sinks = &nl.net(nl.instance(id).output).sinks;
+        let sinks = flat.sinks(flat.output(i) as usize);
         if sinks.is_empty() {
             continue;
         }
-        let sum: usize = sinks.iter().map(|&(s, _)| level[s.0 as usize]).sum();
+        let sum: usize = sinks.iter().map(|&s| level[s as usize]).sum();
         level[i] = sum / sinks.len();
     }
     level
@@ -421,6 +420,38 @@ mod oracle {
         }
     }
 
+    /// The placer's level seed over a fresh topological order and
+    /// per-gate fanin lists.
+    pub(super) fn comb_levels(nl: &Netlist) -> Vec<usize> {
+        let order = nl.topo_order().expect("acyclic netlist");
+        let mut level = vec![0usize; nl.num_instances()];
+        for &id in &order {
+            let i = id.0 as usize;
+            if nl.instance(id).is_sequential {
+                continue;
+            }
+            level[i] = nl
+                .comb_fanin(id)
+                .iter()
+                .map(|f| level[f.0 as usize] + 1)
+                .max()
+                .unwrap_or(1);
+        }
+        for id in nl.inst_ids() {
+            let i = id.0 as usize;
+            if !nl.instance(id).is_sequential {
+                continue;
+            }
+            let sinks = &nl.net(nl.instance(id).output).sinks;
+            if sinks.is_empty() {
+                continue;
+            }
+            let sum: usize = sinks.iter().map(|&(s, _)| level[s.0 as usize]).sum();
+            level[i] = sum / sinks.len();
+        }
+        level
+    }
+
     /// Sort-based spreading by comparison sorts: all cells by x, then
     /// every column by y.
     pub(super) fn spread(x: &mut [f64], y: &mut [f64], die_w: f64, die_h: f64, bins: usize) {
@@ -509,6 +540,7 @@ mod tests {
     fn matches_oracle(profile: &DesignProfile) {
         let lib = Library::standard(Technology::n65());
         let d = gen::generate(profile, &lib);
+        assert_eq!(comb_levels(&d.netlist), oracle::comb_levels(&d.netlist));
         assert_same_bits(
             &place(&d, &lib),
             &oracle::place_with_iterations(&d, &lib, 40),

@@ -9,7 +9,7 @@
 
 use crate::wire::WireModel;
 use dme_liberty::{CellTables, Library, VariantCache};
-use dme_netlist::{InstId, NetId, Netlist, TopoLevels};
+use dme_netlist::{FlatNetlist, NetId, Netlist, TopoLevels};
 use dme_placement::{PadIndex, Placement};
 
 /// Execution strategy for [`analyze_with_mode`].
@@ -120,11 +120,14 @@ pub struct TimingReport {
 pub(crate) const PI_SLEW_NS: f64 = 0.03;
 
 /// Per-net `(total load fF, wire delay ns)` at the given placement and
-/// geometry. Shared by the full and incremental analyses so both compute
-/// bitwise-identical values.
+/// geometry, with the sinks read from `flat` (`nl`'s view). Shared by the
+/// full and incremental analyses so both compute bitwise-identical
+/// values.
+#[allow(clippy::too_many_arguments)]
 pub(crate) fn net_props(
     lib: &Library,
     nl: &Netlist,
+    flat: &FlatNetlist,
     placement: &Placement,
     doses: &GeometryAssignment,
     pads: &PadIndex,
@@ -132,15 +135,14 @@ pub(crate) fn net_props(
     net_idx: usize,
 ) -> (f64, f64) {
     let tech = lib.tech();
-    let net = NetId(net_idx as u32);
     let mut pin_cap = 0.0;
-    for &(sink, _) in &nl.net(net).sinks {
-        let s = sink.0 as usize;
+    for &sink in flat.sinks(net_idx) {
+        let s = sink as usize;
         pin_cap +=
-            lib.cell(nl.instance(sink).cell_idx)
+            lib.cell(nl.instances[s].cell_idx)
                 .input_cap_ff(tech, doses.dl_nm[s], doses.dw_nm[s]);
     }
-    let hpwl = placement.net_hpwl_indexed(lib, nl, pads, net);
+    let hpwl = placement.net_hpwl_indexed(lib, nl, flat, pads, NetId(net_idx as u32));
     (
         pin_cap + wire.wire_cap_ff(hpwl),
         wire.wire_delay_ns(hpwl, pin_cap),
@@ -167,23 +169,22 @@ pub(crate) fn resolve_variants(
         .collect()
 }
 
-/// Late-pass evaluation of one gate with its resolved variant `tables`:
+/// Late-pass evaluation of gate `i` with its resolved variant `tables`:
 /// `(load, gate delay, arrival, input slew, output slew)`. Reads only
 /// strictly-lower-level fanin state, so gates of one topological level
 /// may be evaluated concurrently. Shared by the full and incremental
 /// analyses.
 pub(crate) fn late_gate(
-    nl: &Netlist,
+    flat: &FlatNetlist,
     tables: &CellTables,
     net_load_ff: &[f64],
     net_wire_delay: &[f64],
     arrival: &[f64],
     out_slew: &[f64],
-    id: InstId,
+    i: usize,
 ) -> (f64, f64, f64, f64, f64) {
-    let inst = nl.instance(id);
-    let out_load = net_load_ff[inst.output.0 as usize];
-    if inst.is_sequential {
+    let out_load = net_load_ff[flat.output(i) as usize];
+    if flat.is_sequential(i) {
         // Launch point: arrival at Q is the clk→Q delay.
         let d = tables.delay_worst(PI_SLEW_NS, out_load);
         let slew_out = tables.out_slew_worst(PI_SLEW_NS, out_load);
@@ -192,10 +193,10 @@ pub(crate) fn late_gate(
     // Worst input arrival and slew over fanin pins.
     let mut arr = 0.0f64;
     let mut slew = PI_SLEW_NS;
-    for &net in &inst.inputs {
-        let ni = net.0 as usize;
-        if let Some(drv) = nl.net(net).driver {
-            let d = drv.0 as usize;
+    for &(drv, net) in flat.fanin(i) {
+        let ni = net as usize;
+        if drv != FlatNetlist::NO_DRIVER {
+            let d = drv as usize;
             arr = arr.max(arrival[d] + net_wire_delay[ni]);
             // Wire degrades the transition; two wire time-constants.
             slew = slew.max(out_slew[d] + 2.0 * net_wire_delay[ni]);
@@ -243,6 +244,7 @@ pub(crate) struct LatePass {
 pub(crate) fn late_pass(
     lib: &Library,
     nl: &Netlist,
+    flat: &FlatNetlist,
     placement: &Placement,
     doses: &GeometryAssignment,
     pads: &PadIndex,
@@ -254,7 +256,7 @@ pub(crate) fn late_pass(
 ) -> LatePass {
     // --- output load per net: wire cap + sink pin caps at sink geometry ---
     let num_nets = nl.num_nets();
-    let props_of = |net_idx: usize| net_props(lib, nl, placement, doses, pads, wire, net_idx);
+    let props_of = |net_idx: usize| net_props(lib, nl, flat, placement, doses, pads, wire, net_idx);
     let mut net_load_ff = Vec::with_capacity(num_nets);
     let mut net_wire_delay = Vec::with_capacity(num_nets);
     if par && num_nets >= NET_PAR_CUTOFF {
@@ -279,15 +281,15 @@ pub(crate) fn late_pass(
     let mut arrival = vec![0.0f64; n];
     let mut in_slew = vec![PI_SLEW_NS; n];
     let mut out_slew = vec![PI_SLEW_NS; n];
-    let eval = |id: InstId, arrival: &[f64], out_slew: &[f64]| {
+    let eval = |i: usize, arrival: &[f64], out_slew: &[f64]| {
         late_gate(
-            nl,
-            cache.get(variant[id.0 as usize]),
+            flat,
+            cache.get(variant[i]),
             &net_load_ff,
             &net_wire_delay,
             arrival,
             out_slew,
-            id,
+            i,
         )
     };
     let mut results: Vec<(f64, f64, f64, f64, f64)> = Vec::new();
@@ -295,7 +297,9 @@ pub(crate) fn late_pass(
         if par && level.len() >= LEVEL_PAR_CUTOFF {
             results.clear();
             results.resize(level.len(), (0.0, 0.0, 0.0, 0.0, 0.0));
-            dme_par::par_fill(&mut results, 16, |k| eval(level[k], &arrival, &out_slew));
+            dme_par::par_fill(&mut results, 16, |k| {
+                eval(level[k].0 as usize, &arrival, &out_slew)
+            });
             for (k, &(ld, d, arr, si, so)) in results.iter().enumerate() {
                 let i = level[k].0 as usize;
                 load[i] = ld;
@@ -306,8 +310,8 @@ pub(crate) fn late_pass(
             }
         } else {
             for &id in level {
-                let (ld, d, arr, si, so) = eval(id, &arrival, &out_slew);
                 let i = id.0 as usize;
+                let (ld, d, arr, si, so) = eval(i, &arrival, &out_slew);
                 load[i] = ld;
                 gate_delay[i] = d;
                 arrival[i] = arr;
@@ -327,31 +331,59 @@ pub(crate) fn late_pass(
     }
 }
 
+/// `(setup, hold)` time of every library master, indexed like
+/// [`Library::cells`] (zeros for combinational masters): resolved once
+/// per pass, so the endpoint loops read a table instead of evaluating
+/// the probe stage per flip-flop.
+pub(crate) fn setup_hold_by_master(lib: &Library) -> Vec<(f64, f64)> {
+    let tech = lib.tech();
+    lib.cells()
+        .iter()
+        .map(|c| (c.setup_ns(tech), c.hold_ns(tech)))
+        .collect()
+}
+
+/// The timing endpoints that have a driver, in the order every endpoint
+/// walk uses: flip-flop data pins in instance order, then primary outputs
+/// in list order. Each comes as `(driver, Some((data net, flip-flop)))`
+/// or, for a primary output, `(driver, None)`.
+pub(crate) fn endpoints<'v>(
+    nl: &'v Netlist,
+    flat: &'v FlatNetlist,
+) -> impl Iterator<Item = (u32, Option<(u32, u32)>)> + 'v {
+    let ffs = (0..flat.num_instances())
+        .filter(|&i| flat.is_sequential(i))
+        .map(|i| {
+            let (drv, data) = flat.fanin(i)[0];
+            (drv, Some((data, i as u32)))
+        });
+    let pos = nl
+        .primary_outputs
+        .iter()
+        .map(|po| (flat.driver(po.0 as usize), None));
+    ffs.chain(pos)
+        .filter(|&(drv, _)| drv != FlatNetlist::NO_DRIVER)
+}
+
 /// Minimum cycle time implied by `arrival`: the worst endpoint path delay
-/// with FF setup included. Shared by the full and incremental analyses.
+/// with FF setup (from [`setup_hold_by_master`]'s `times`) included.
+/// Shared by the full and incremental analyses.
 pub(crate) fn mct_from_arrivals(
-    lib: &Library,
     nl: &Netlist,
+    flat: &FlatNetlist,
+    times: &[(f64, f64)],
     arrival: &[f64],
     net_wire_delay: &[f64],
 ) -> f64 {
-    let tech = lib.tech();
     let mut mct = 0.0f64;
-    for id in nl.inst_ids() {
-        let inst = nl.instance(id);
-        if inst.is_sequential {
-            let data_net = inst.inputs[0];
-            let ni = data_net.0 as usize;
-            if let Some(drv) = nl.net(data_net).driver {
-                let setup = lib.cell(inst.cell_idx).setup_ns(tech);
-                mct = mct.max(arrival[drv.0 as usize] + net_wire_delay[ni] + setup);
+    for (drv, ff) in endpoints(nl, flat) {
+        let a = arrival[drv as usize];
+        mct = mct.max(match ff {
+            Some((data, i)) => {
+                a + net_wire_delay[data as usize] + times[nl.instances[i as usize].cell_idx].0
             }
-        }
-    }
-    for &po in &nl.primary_outputs {
-        if let Some(drv) = nl.net(po).driver {
-            mct = mct.max(arrival[drv.0 as usize]);
-        }
+            None => a,
+        });
     }
     mct
 }
@@ -434,6 +466,7 @@ pub fn analyze_with_mode(
         1,
     );
     let levels = nl.topo_levels().expect("combinational cycle");
+    let flat = nl.flat();
     dme_obs::counter_add("sta/levels_evaluated", levels.levels.len() as u64);
     let mut cache = VariantCache::new(lib);
     let variant = resolve_variants(&mut cache, nl, doses);
@@ -448,6 +481,7 @@ pub fn analyze_with_mode(
     } = late_pass(
         lib,
         nl,
+        flat,
         placement,
         doses,
         &PadIndex::build(nl),
@@ -465,21 +499,20 @@ pub fn analyze_with_mode(
     let mut arrival_min = vec![0.0f64; n];
     let mut gate_delay_best = vec![0.0f64; n];
     {
-        let early_gate = |id: InstId, arrival_min: &[f64]| -> (f64, f64) {
-            let i = id.0 as usize;
-            let inst = nl.instance(id);
-            let out_load = net_load_ff[inst.output.0 as usize];
+        let early_gate = |i: usize, arrival_min: &[f64]| -> (f64, f64) {
+            let out_load = net_load_ff[flat.output(i) as usize];
             let tables = cache.get(variant[i]);
-            if inst.is_sequential {
+            if flat.is_sequential(i) {
                 let d = tables.delay_best(PI_SLEW_NS, out_load);
                 return (d, d);
             }
             let mut arr = f64::INFINITY;
-            for &net in &inst.inputs {
-                let ni = net.0 as usize;
-                match nl.net(net).driver {
-                    Some(drv) => arr = arr.min(arrival_min[drv.0 as usize] + net_wire_delay[ni]),
-                    None => arr = arr.min(net_wire_delay[ni]),
+            for &(drv, net) in flat.fanin(i) {
+                let ni = net as usize;
+                if drv != FlatNetlist::NO_DRIVER {
+                    arr = arr.min(arrival_min[drv as usize] + net_wire_delay[ni]);
+                } else {
+                    arr = arr.min(net_wire_delay[ni]);
                 }
             }
             if !arr.is_finite() {
@@ -493,7 +526,9 @@ pub fn analyze_with_mode(
             if par && level.len() >= LEVEL_PAR_CUTOFF {
                 results.clear();
                 results.resize(level.len(), (0.0, 0.0));
-                dme_par::par_fill(&mut results, 16, |k| early_gate(level[k], &arrival_min));
+                dme_par::par_fill(&mut results, 16, |k| {
+                    early_gate(level[k].0 as usize, &arrival_min)
+                });
                 for (k, &(best, arr)) in results.iter().enumerate() {
                     let i = level[k].0 as usize;
                     gate_delay_best[i] = best;
@@ -501,69 +536,53 @@ pub fn analyze_with_mode(
                 }
             } else {
                 for &id in level {
-                    let (best, arr) = early_gate(id, &arrival_min);
                     let i = id.0 as usize;
+                    let (best, arr) = early_gate(i, &arrival_min);
                     gate_delay_best[i] = best;
                     arrival_min[i] = arr;
                 }
             }
         }
     }
+    let times = setup_hold_by_master(lib);
     let mut worst_hold = f64::INFINITY;
-    for id in nl.inst_ids() {
-        let inst = nl.instance(id);
-        if inst.is_sequential {
-            let data = inst.inputs[0];
-            if let Some(drv) = nl.net(data).driver {
-                let hold = lib.cell(inst.cell_idx).hold_ns(tech);
-                let early = arrival_min[drv.0 as usize] + net_wire_delay[data.0 as usize];
-                worst_hold = worst_hold.min(early - hold);
-            }
+    for (drv, ff) in endpoints(nl, flat) {
+        if let Some((data, i)) = ff {
+            let hold = times[nl.instances[i as usize].cell_idx].1;
+            let early = arrival_min[drv as usize] + net_wire_delay[data as usize];
+            worst_hold = worst_hold.min(early - hold);
         }
     }
 
     // --- endpoints and MCT ---
     // FF D pins capture with setup; primary outputs capture directly.
-    let mct = mct_from_arrivals(lib, nl, &arrival, &net_wire_delay);
+    let mct = mct_from_arrivals(nl, flat, &times, &arrival, &net_wire_delay);
 
     // --- backward required-time pass at clock = MCT ---
     let mut required = vec![f64::INFINITY; n];
-    for id in nl.inst_ids() {
-        let inst = nl.instance(id);
-        if inst.is_sequential {
-            let data_net = inst.inputs[0];
-            if let Some(drv) = nl.net(data_net).driver {
-                let setup = lib.cell(inst.cell_idx).setup_ns(tech);
-                let ni = data_net.0 as usize;
-                let r = mct - setup - net_wire_delay[ni];
-                let d = drv.0 as usize;
-                required[d] = required[d].min(r);
+    for (drv, ff) in endpoints(nl, flat) {
+        let r = match ff {
+            Some((data, i)) => {
+                mct - times[nl.instances[i as usize].cell_idx].0 - net_wire_delay[data as usize]
             }
-        }
-    }
-    for &po in &nl.primary_outputs {
-        if let Some(drv) = nl.net(po).driver {
-            let d = drv.0 as usize;
-            required[d] = required[d].min(mct);
-        }
+            None => mct,
+        };
+        let d = drv as usize;
+        required[d] = required[d].min(r);
     }
     for &id in levels.levels.iter().rev().flat_map(|l| l.iter().rev()) {
         let i = id.0 as usize;
-        let inst = nl.instance(id);
-        if inst.is_sequential {
+        if flat.is_sequential(i) {
             continue;
         }
         // Propagate requirement to combinational fanins.
-        for &net in &inst.inputs {
-            if let Some(drv) = nl.net(net).driver {
-                if nl.instance(drv).is_sequential {
-                    continue;
-                }
-                let ni = net.0 as usize;
-                let r = required[i] - gate_delay[i] - net_wire_delay[ni];
-                let d = drv.0 as usize;
-                required[d] = required[d].min(r);
+        for &(drv, net) in flat.fanin(i) {
+            if drv == FlatNetlist::NO_DRIVER || flat.is_sequential(drv as usize) {
+                continue;
             }
+            let r = required[i] - gate_delay[i] - net_wire_delay[net as usize];
+            let d = drv as usize;
+            required[d] = required[d].min(r);
         }
     }
     // Instances with no timed fanout keep required = +inf; clamp to MCT so

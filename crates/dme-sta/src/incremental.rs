@@ -37,7 +37,7 @@
 use crate::engine::{self, GeometryAssignment, StaMode};
 use crate::wire::WireModel;
 use dme_liberty::{Library, VariantCache};
-use dme_netlist::{InstId, Netlist, TopoLevels};
+use dme_netlist::{FlatNetlist, InstId, Netlist, TopoLevels};
 use dme_placement::{PadIndex, Placement};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -158,6 +158,8 @@ impl Csr {
 pub struct IncrementalSta<'a> {
     lib: &'a Library,
     nl: &'a Netlist,
+    // The netlist's connectivity view, fetched once at construction.
+    flat: &'a FlatNetlist,
     wire: WireModel,
     pads: PadIndex,
     // Variants characterized so far; the retime path resolves the
@@ -235,38 +237,32 @@ impl<'a> IncrementalSta<'a> {
         );
         let n = nl.num_instances();
         let levels = nl.topo_levels().expect("combinational cycle");
+        let flat = nl.flat();
 
         // Endpoint table: FF data pins (in instance order), then primary
         // outputs (in list order). Endpoints whose net has no driver
         // never contribute to the MCT and are simply not tabulated.
         let tech = lib.tech();
+        let times = engine::setup_hold_by_master(lib);
         let mut ep_drv = Vec::new();
         let mut ep_net = Vec::new();
         let mut ep_setup = Vec::new();
         let mut by_inst: Vec<(u32, u32)> = Vec::new();
         let mut by_net: Vec<(u32, u32)> = Vec::new();
-        for id in nl.inst_ids() {
-            let inst = nl.instance(id);
-            if !inst.is_sequential {
-                continue;
-            }
-            let data_net = inst.inputs[0];
-            if let Some(drv) = nl.net(data_net).driver {
-                let e = ep_drv.len() as u32;
-                ep_drv.push(drv.0);
-                ep_net.push(data_net.0);
-                ep_setup.push(lib.cell(inst.cell_idx).setup_ns(tech));
-                by_inst.push((drv.0, e));
-                by_net.push((data_net.0, e));
-            }
-        }
-        for &po in &nl.primary_outputs {
-            if let Some(drv) = nl.net(po).driver {
-                let e = ep_drv.len() as u32;
-                ep_drv.push(drv.0);
-                ep_net.push(u32::MAX);
-                ep_setup.push(0.0);
-                by_inst.push((drv.0, e));
+        for (drv, ff) in engine::endpoints(nl, flat) {
+            let e = ep_drv.len() as u32;
+            ep_drv.push(drv);
+            by_inst.push((drv, e));
+            match ff {
+                Some((data, i)) => {
+                    ep_net.push(data);
+                    ep_setup.push(times[nl.instances[i as usize].cell_idx].0);
+                    by_net.push((data, e));
+                }
+                None => {
+                    ep_net.push(u32::MAX);
+                    ep_setup.push(0.0);
+                }
             }
         }
         let num_eps = ep_drv.len();
@@ -280,12 +276,13 @@ impl<'a> IncrementalSta<'a> {
         let late = {
             let variant = engine::resolve_variants(&mut cache, nl, doses);
             engine::late_pass(
-                lib, nl, placement, doses, &pads, &wire, &cache, &variant, levels, par,
+                lib, nl, flat, placement, doses, &pads, &wire, &cache, &variant, levels, par,
             )
         };
         let mut s = Self {
             lib,
             nl,
+            flat,
             wire,
             pads,
             cache,
@@ -395,13 +392,13 @@ impl<'a> IncrementalSta<'a> {
             doses.dw_nm[i],
         );
         let (ld, d, arr, si, so) = engine::late_gate(
-            self.nl,
+            self.flat,
             self.cache.get(variant),
             &self.net_load_ff,
             &self.net_wire_delay,
             &self.arrival,
             &self.out_slew,
-            id,
+            i,
         );
         self.stats.gates_retimed += 1;
         let arr_changed = self.arrival[i].to_bits() != arr.to_bits();
@@ -475,17 +472,13 @@ impl<'a> IncrementalSta<'a> {
         self.y_um[i] = placement.y_um[i];
         self.dl_nm[i] = doses.dl_nm[i];
         self.dw_nm[i] = doses.dw_nm[i];
-        let id = InstId(idx);
-        let nl = self.nl;
-        let inst = nl.instance(id);
         // A move shifts the HPWL of every incident net; a re-dose
         // changes the pin caps this cell presents on its input nets
         // and the delay tables of the cell itself.
-        for &net in &inst.inputs {
-            self.mark_net(net.0);
+        for net in self.flat.pin_nets(i) {
+            self.mark_net(net);
         }
-        self.mark_net(inst.output.0);
-        self.mark_gate(id);
+        self.mark_gate(InstId(idx));
     }
 
     /// Refreshes the dirty nets (ascending index, matching the pull
@@ -498,7 +491,7 @@ impl<'a> IncrementalSta<'a> {
         for &net_u in &nets {
             let net_idx = net_u as usize;
             let (load, delay) = engine::net_props(
-                self.lib, self.nl, placement, doses, &self.pads, &self.wire, net_idx,
+                self.lib, self.nl, self.flat, placement, doses, &self.pads, &self.wire, net_idx,
             );
             self.stats.nets_updated += 1;
             let load_changed = self.net_load_ff[net_idx].to_bits() != load.to_bits();
@@ -514,20 +507,20 @@ impl<'a> IncrementalSta<'a> {
             if !(load_changed || delay_changed) {
                 continue;
             }
-            let nl = self.nl;
-            let net = nl.net(dme_netlist::NetId(net_u));
+            let flat = self.flat;
             if load_changed {
-                if let Some(drv) = net.driver {
-                    self.mark_gate(drv);
+                let drv = flat.driver(net_idx);
+                if drv != FlatNetlist::NO_DRIVER {
+                    self.mark_gate(InstId(drv));
                 }
             }
             if delay_changed {
-                for &(sink, _) in &net.sinks {
+                for &sink in flat.sinks(net_idx) {
                     // A flop's data arrival is read directly off the
                     // driver at MCT query time; its own launch (clk→Q)
                     // does not depend on input timing.
-                    if !nl.instance(sink).is_sequential {
-                        self.mark_gate(sink);
+                    if !flat.is_sequential(sink as usize) {
+                        self.mark_gate(InstId(sink));
                     }
                 }
                 // FF data pins on this net see a new wire delay.
@@ -558,14 +551,13 @@ impl<'a> IncrementalSta<'a> {
             if !self.retime_gate(id, doses) {
                 continue; // outputs bitwise unchanged: the cone ends here
             }
-            let nl = self.nl;
-            let out = nl.instance(id).output;
-            for &(sink, _) in &nl.net(out).sinks {
-                let s = sink.0 as usize;
-                if !nl.instance(sink).is_sequential && self.cone_mark[s] != self.epoch {
+            let flat = self.flat;
+            for &sink in flat.sinks(flat.output(raw as usize) as usize) {
+                let s = sink as usize;
+                if !flat.is_sequential(s) && self.cone_mark[s] != self.epoch {
                     self.cone_mark[s] = self.epoch;
                     let d = levels.depth[s];
-                    self.heap.push(Reverse((d, sink.0)));
+                    self.heap.push(Reverse((d, sink)));
                 }
             }
         }
@@ -774,7 +766,13 @@ impl<'a> IncrementalSta<'a> {
     /// the full O(n) endpoint scan — the oracle the lazy structure is
     /// checked against.
     pub fn mct_ns(&self) -> f64 {
-        engine::mct_from_arrivals(self.lib, self.nl, &self.arrival, &self.net_wire_delay)
+        engine::mct_from_arrivals(
+            self.nl,
+            self.flat,
+            &engine::setup_hold_by_master(self.lib),
+            &self.arrival,
+            &self.net_wire_delay,
+        )
     }
 
     /// Arrival time at each instance output, ns.
@@ -870,6 +868,7 @@ mod tests {
         let serial = engine::late_pass(
             &lib,
             nl,
+            nl.flat(),
             &p,
             &doses,
             &PadIndex::build(nl),

@@ -8,9 +8,9 @@
 //! non-increasing total-delay order, so the first K finishes are exactly
 //! the K most critical paths.
 
-use crate::engine::TimingReport;
+use crate::engine::{self, TimingReport};
 use crate::incremental::{IncrementalSta, TopKStats};
-use dme_netlist::{InstId, Netlist};
+use dme_netlist::{FlatNetlist, InstId, Netlist};
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 use std::rc::Rc;
@@ -71,7 +71,7 @@ impl Ord for State {
 
 /// Timing-edge context shared by ψ computation and enumeration.
 struct PathGraph<'a> {
-    nl: &'a Netlist,
+    flat: &'a FlatNetlist,
     report: &'a TimingReport,
     /// Endpoint weight of each instance (wire + setup to the worst
     /// endpoint it drives), or `None` if it drives no endpoint.
@@ -84,46 +84,46 @@ struct PathGraph<'a> {
 
 impl<'a> PathGraph<'a> {
     fn build(nl: &'a Netlist, report: &'a TimingReport, setup_ns: &[f64]) -> Self {
-        let n = nl.num_instances();
+        let flat = nl.flat();
+        let n = flat.num_instances();
         let mut end_weight: Vec<Option<f64>> = vec![None; n];
         let mut succ: Vec<Vec<(InstId, f64)>> = vec![Vec::new(); n];
 
-        for id in nl.inst_ids() {
-            let inst = nl.instance(id);
-            let out_net = inst.output.0 as usize;
+        for i in 0..n {
+            let out_net = flat.output(i) as usize;
             let wire = report.wire_delay_ns[out_net];
-            if nl.net(inst.output).is_primary_output {
-                let w = end_weight[id.0 as usize].get_or_insert(0.0);
+            if nl.nets[out_net].is_primary_output {
+                let w = end_weight[i].get_or_insert(0.0);
                 *w = w.max(0.0);
             }
             let mut seen_comb: Option<InstId> = None;
-            for &(sink, pin) in &nl.net(inst.output).sinks {
-                let s = sink.0 as usize;
-                if nl.instance(sink).is_sequential {
-                    if pin == 0 {
+            for &sink_raw in flat.sinks(out_net) {
+                let (sink, s) = (InstId(sink_raw), sink_raw as usize);
+                if flat.is_sequential(s) {
+                    // Only the flop's data pin (pin 0) is an endpoint.
+                    if flat.fanin(s)[0].1 as usize == out_net {
                         let w = wire + setup_ns[s];
-                        let e = end_weight[id.0 as usize].get_or_insert(w);
+                        let e = end_weight[i].get_or_insert(w);
                         *e = e.max(w);
                     }
                 } else {
                     // A gate can take the same net on several pins; the
                     // timing edge is the same, so dedup consecutive sinks
                     // (sinks of one net are grouped by construction).
-                    if seen_comb == Some(sink)
-                        || succ[id.0 as usize].iter().any(|&(q, _)| q == sink)
-                    {
+                    if seen_comb == Some(sink) || succ[i].iter().any(|&(q, _)| q == sink) {
                         continue;
                     }
                     seen_comb = Some(sink);
-                    succ[id.0 as usize].push((sink, wire + report.gate_delay_ns[s]));
+                    succ[i].push((sink, wire + report.gate_delay_ns[s]));
                 }
             }
         }
 
-        // ψ in reverse topological order.
-        let order = nl.topo_order().expect("acyclic");
+        // ψ in reverse level order: every successor sits on a higher
+        // level than its driver.
+        let levels = nl.topo_levels().expect("acyclic");
         let mut psi = vec![f64::NEG_INFINITY; n];
-        for &id in order.iter().rev() {
+        for &id in levels.levels.iter().rev().flatten() {
             let i = id.0 as usize;
             let mut best = end_weight[i].unwrap_or(f64::NEG_INFINITY);
             for &(q, w) in &succ[i] {
@@ -132,7 +132,7 @@ impl<'a> PathGraph<'a> {
             psi[i] = best;
         }
         Self {
-            nl,
+            flat,
             report,
             end_weight,
             psi,
@@ -144,19 +144,18 @@ impl<'a> PathGraph<'a> {
     /// PI-fed combinational gates (pad wire + gate delay).
     fn starts(&self) -> Vec<(InstId, f64)> {
         let mut starts = Vec::new();
-        for id in self.nl.inst_ids() {
-            let inst = self.nl.instance(id);
-            let i = id.0 as usize;
-            if inst.is_sequential {
+        for i in 0..self.flat.num_instances() {
+            let id = InstId(i as u32);
+            if self.flat.is_sequential(i) {
                 starts.push((id, self.report.gate_delay_ns[i]));
                 continue;
             }
             // Combinational gate with at least one PI input: its PI-driven
             // arrival can begin a path.
             let mut pi_arr: Option<f64> = None;
-            for &net in &inst.inputs {
-                if self.nl.net(net).driver.is_none() {
-                    let w = self.report.wire_delay_ns[net.0 as usize];
+            for &(drv, net) in self.flat.fanin(i) {
+                if drv == FlatNetlist::NO_DRIVER {
+                    let w = self.report.wire_delay_ns[net as usize];
                     let a = w + self.report.gate_delay_ns[i];
                     pi_arr = Some(pi_arr.map_or(a, |x: f64| x.max(a)));
                 }
@@ -195,34 +194,33 @@ pub fn worst_path_per_endpoint(
 /// bitwise-identical `arrival`/`wire_delay` arrays, so the traced
 /// chains are identical too.
 fn trace_max_arrival_chain(
-    nl: &Netlist,
+    flat: &FlatNetlist,
     arrival: &[f64],
     wire_delay: &[f64],
-    mut cur: InstId,
+    mut cur: u32,
 ) -> Vec<InstId> {
-    let mut chain = vec![cur];
+    let mut chain = vec![InstId(cur)];
     loop {
-        let inst = nl.instance(cur);
-        if inst.is_sequential {
+        let i = cur as usize;
+        if flat.is_sequential(i) {
             break;
         }
-        let mut best: Option<(f64, InstId)> = None;
+        let mut best: Option<(f64, u32)> = None;
         let mut pi_arr = f64::NEG_INFINITY;
-        for &net in &inst.inputs {
-            let wire = wire_delay[net.0 as usize];
-            match nl.net(net).driver {
-                Some(drv) => {
-                    let a = arrival[drv.0 as usize] + wire;
-                    if best.is_none_or(|(b, _)| a > b) {
-                        best = Some((a, drv));
-                    }
+        for &(drv, net) in flat.fanin(i) {
+            let wire = wire_delay[net as usize];
+            if drv != FlatNetlist::NO_DRIVER {
+                let a = arrival[drv as usize] + wire;
+                if best.is_none_or(|(b, _)| a > b) {
+                    best = Some((a, drv));
                 }
-                None => pi_arr = pi_arr.max(wire),
+            } else {
+                pi_arr = pi_arr.max(wire);
             }
         }
         match best {
             Some((a, drv)) if a >= pi_arr => {
-                chain.push(drv);
+                chain.push(InstId(drv));
                 cur = drv;
             }
             _ => break, // path launches from a primary input
@@ -259,27 +257,18 @@ pub fn worst_paths_per_endpoint_k(
     }
     // (delay, enumeration index, endpoint driver) — backtraces deferred
     // until after selection.
-    let mut eps: Vec<(f64, u32, InstId)> = Vec::new();
-    for id in nl.inst_ids() {
-        let inst = nl.instance(id);
-        if inst.is_sequential {
-            let data = inst.inputs[0];
-            if let Some(drv) = nl.net(data).driver {
-                let delay = report.arrival_ns[drv.0 as usize]
-                    + report.wire_delay_ns[data.0 as usize]
-                    + setup_ns[id.0 as usize];
-                eps.push((delay, eps.len() as u32, drv));
-            }
-        }
-    }
-    for &po in &nl.primary_outputs {
-        if let Some(drv) = nl.net(po).driver {
-            let delay = report.arrival_ns[drv.0 as usize];
-            eps.push((delay, eps.len() as u32, drv));
-        }
+    let flat = nl.flat();
+    let mut eps: Vec<(f64, u32, u32)> = Vec::new();
+    for (drv, ff) in engine::endpoints(nl, flat) {
+        let a = report.arrival_ns[drv as usize];
+        let delay = match ff {
+            Some((data, i)) => a + report.wire_delay_ns[data as usize] + setup_ns[i as usize],
+            None => a,
+        };
+        eps.push((delay, eps.len() as u32, drv));
     }
     let by_criticality =
-        |a: &(f64, u32, InstId), b: &(f64, u32, InstId)| b.0.total_cmp(&a.0).then(a.1.cmp(&b.1));
+        |a: &(f64, u32, u32), b: &(f64, u32, u32)| b.0.total_cmp(&a.0).then(a.1.cmp(&b.1));
     if k < eps.len() {
         eps.select_nth_unstable_by(k - 1, by_criticality);
         eps.truncate(k);
@@ -287,7 +276,12 @@ pub fn worst_paths_per_endpoint_k(
     eps.sort_unstable_by(by_criticality);
     eps.into_iter()
         .map(|(delay, _, drv)| TimingPath {
-            instances: trace_max_arrival_chain(nl, &report.arrival_ns, &report.wire_delay_ns, drv),
+            instances: trace_max_arrival_chain(
+                flat,
+                &report.arrival_ns,
+                &report.wire_delay_ns,
+                drv,
+            ),
             delay_ns: delay,
             slack_ns: report.mct_ns - delay,
         })
@@ -311,13 +305,13 @@ pub fn worst_paths_top_k(inc: &mut IncrementalSta<'_>, k: usize) -> (Vec<TimingP
     // The first live pop is the global max contribution, so it yields
     // the MCT with the same clamp `engine::mct_from_arrivals` applies.
     let mct = eps.first().map_or(0.0, |&(v, _)| 0.0f64.max(v));
-    let nl = inc.netlist();
+    let flat = inc.netlist().flat();
     let arrival = inc.arrival_ns();
     let wires = inc.wire_delay_ns();
     let paths = eps
         .iter()
         .map(|&(delay, drv)| TimingPath {
-            instances: trace_max_arrival_chain(nl, arrival, wires, drv),
+            instances: trace_max_arrival_chain(flat, arrival, wires, drv.0),
             delay_ns: delay,
             slack_ns: mct - delay,
         })

@@ -2,7 +2,9 @@
 //! level-parallel pass `analyze` runs, so a build on the pool equals the
 //! same build under the serial switch, and both equal `analyze`'s
 //! arrivals and MCT bit for bit — here on a 5000-cell design under a
-//! dose-map-like assignment with thousands of distinct variants.
+//! dose-map-like assignment with thousands of distinct variants. Every
+//! field of an `analyze` report on the pool equals the serial switch's
+//! too.
 //!
 //! Lives in its own test binary: `dme_par::set_force_serial` is
 //! process-global, and another test's parallel-dispatch assertions would
@@ -73,6 +75,48 @@ fn new_on_the_pool_equals_the_serial_build() {
         pool.worst_endpoints_top_k(64).0,
         serial.worst_endpoints_top_k(64).0
     );
+}
+
+#[test]
+fn analyze_on_the_pool_equals_the_serial_switch() {
+    let (lib, d, p, doses) = mapped_design();
+    let pool = analyze(&lib, &d.netlist, &p, &doses);
+    dme_par::set_force_serial(true);
+    let serial = analyze(&lib, &d.netlist, &p, &doses);
+    dme_par::set_force_serial(false);
+    for (a, b, what) in [
+        (&pool.arrival_ns, &serial.arrival_ns, "arrival"),
+        (&pool.required_ns, &serial.required_ns, "required"),
+        (&pool.slack_ns, &serial.slack_ns, "slack"),
+        (&pool.gate_delay_ns, &serial.gate_delay_ns, "gate delay"),
+        (&pool.input_slew_ns, &serial.input_slew_ns, "input slew"),
+        (&pool.output_slew_ns, &serial.output_slew_ns, "output slew"),
+        (&pool.load_ff, &serial.load_ff, "load"),
+        (&pool.wire_delay_ns, &serial.wire_delay_ns, "wire delay"),
+        (
+            &pool.arrival_min_ns,
+            &serial.arrival_min_ns,
+            "early arrival",
+        ),
+        (
+            &pool.gate_delay_best_ns,
+            &serial.gate_delay_best_ns,
+            "best gate delay",
+        ),
+    ] {
+        assert_bits_eq(a, b, what);
+    }
+    for (a, b, what) in [
+        (pool.mct_ns, serial.mct_ns, "MCT"),
+        (
+            pool.worst_hold_slack_ns,
+            serial.worst_hold_slack_ns,
+            "hold slack",
+        ),
+        (pool.total_leakage_uw, serial.total_leakage_uw, "leakage"),
+    ] {
+        assert_eq!(a.to_bits(), b.to_bits(), "{what}");
+    }
 }
 
 #[test]
