@@ -9,9 +9,7 @@ use dme_dosemap::{DoseGrid, DoseMap, DoseSensitivity};
 use dme_liberty::{fit, Library};
 use dme_netlist::{gen, profiles, InstId};
 use dme_placement::{NetBoxCache, NetPins, PlacementDelta};
-use dme_qp::{
-    BackendDecision, CsrMatrix, IpmSettings, IpmSolver, IpmStrategy, NewtonBackend, SolverObserver,
-};
+use dme_qp::{BackendDecision, CsrMatrix, IpmSettings, IpmSolver, NewtonBackend, SolverObserver};
 use dme_sta::{
     analyze, analyze_with_mode, top_k_paths, worst_paths_top_k, AssignmentDelta,
     GeometryAssignment, IncrementalSta, StaMode,
@@ -705,9 +703,9 @@ fn bench_perf(c: &mut Criterion) {
         dp.swap_evals, dp.incremental_gate_evals, dp.full_equivalent_gate_evals
     );
 
-    // --- IPM iteration counts: Mehrotra predictor-corrector vs basic
-    // path-following (not timed; iteration counts are deterministic on
-    // the direct backend, so this is a hardware-independent measure).
+    // --- Mehrotra IPM iteration counts (not timed; iteration counts are
+    // deterministic on the direct backend, so this is a
+    // hardware-independent measure).
     // Two program families: dose-map QPs at five achievable τ bounds —
     // the fixed-τ MinLeakage program the flow solves after bisection;
     // bounds below the nominal MCT are primal-infeasible without the
@@ -717,14 +715,13 @@ fn bench_perf(c: &mut Criterion) {
     let mct = tiny_ctx.nominal.mct_ns;
     let mut dosemap = Vec::new();
     let mut qps = Vec::new();
-    let iters = |qp: &dme_qp::QuadProgram, strategy: IpmStrategy| {
+    let iters = |qp: &dme_qp::QuadProgram| {
         let st = IpmSettings {
-            strategy,
             backend: NewtonBackend::Direct,
             ..IpmSettings::default()
         };
         let sol = IpmSolver::new(st).solve(qp).expect("bench QP solves");
-        assert_eq!(sol.status, dme_qp::SolveStatus::Solved, "{strategy:?}");
+        assert_eq!(sol.status, dme_qp::SolveStatus::Solved);
         sol.iterations
     };
     for frac in [1.0, 1.025, 1.05, 1.075, 1.10] {
@@ -741,10 +738,7 @@ fn bench_perf(c: &mut Criterion) {
             hold_margin_ns: None,
         };
         let form = Formulation::build(&tiny_ctx, &grid, &params);
-        dosemap.push((
-            iters(&form.qp, IpmStrategy::Mehrotra),
-            iters(&form.qp, IpmStrategy::Basic),
-        ));
+        dosemap.push(iters(&form.qp));
     }
     let qps_dir = concat!(env!("CARGO_MANIFEST_DIR"), "/../../tests/qps");
     let mut qps_paths: Vec<_> = std::fs::read_dir(qps_dir)
@@ -755,34 +749,24 @@ fn bench_perf(c: &mut Criterion) {
     qps_paths.sort();
     for path in &qps_paths {
         let pb = dme_qp::mps::load_qps(path).expect("fixture parses");
-        qps.push((
-            iters(&pb.qp, IpmStrategy::Mehrotra),
-            iters(&pb.qp, IpmStrategy::Basic),
-        ));
+        qps.push(iters(&pb.qp));
     }
     // Upper median keeps the WORKLINE integral (the consumer parses ints).
-    let median = |mut v: Vec<usize>| -> usize {
+    let median = |v: &[usize]| -> usize {
+        let mut v = v.to_vec();
         v.sort_unstable();
         v[v.len() / 2]
     };
-    let split = |pairs: &[(usize, usize)]| {
-        (
-            median(pairs.iter().map(|p| p.0).collect()),
-            median(pairs.iter().map(|p| p.1).collect()),
-            pairs.iter().map(|p| p.0).sum::<usize>(),
-            pairs.iter().map(|p| p.1).sum::<usize>(),
-        )
-    };
-    let (dm_meh, dm_basic, dm_meh_total, dm_basic_total) = split(&dosemap);
-    let (qps_meh, qps_basic, qps_meh_total, qps_basic_total) = split(&qps);
+    let total = |v: &[usize]| v.iter().sum::<usize>();
     println!(
-        "WORKLINE ipm_iterations dosemap_solves={} dosemap_mehrotra_median={dm_meh} \
-         dosemap_basic_median={dm_basic} dosemap_mehrotra_total={dm_meh_total} \
-         dosemap_basic_total={dm_basic_total} qps_solves={} qps_mehrotra_median={qps_meh} \
-         qps_basic_median={qps_basic} qps_mehrotra_total={qps_meh_total} \
-         qps_basic_total={qps_basic_total}",
+        "WORKLINE ipm_iterations dosemap_solves={} dosemap_mehrotra_median={} \
+         dosemap_mehrotra_total={} qps_solves={} qps_mehrotra_median={} qps_mehrotra_total={}",
         dosemap.len(),
-        qps.len()
+        median(&dosemap),
+        total(&dosemap),
+        qps.len(),
+        median(&qps),
+        total(&qps)
     );
 }
 

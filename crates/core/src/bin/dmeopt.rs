@@ -11,7 +11,7 @@
 //! dmeopt flow     --profile aes65 [--scale 0.2] [--grid 5] [--top-k 1000]
 //! dmeopt watch    snapshot.json [--interval-ms 500] [--once]
 //! dmeopt obs      ls
-//! dmeopt qp       solve file.qps [--strategy mehrotra|basic] | suite [dir]
+//! dmeopt qp       solve file.qps [--backend auto|direct|cg] | suite [dir]
 //! dmeopt qor      ingest run.json... | diff run baseline | report
 //! dmeopt prof     report run.json [--flame out.svg] | diff run base...
 //! ```
@@ -38,9 +38,9 @@
 //! `qp` exercises the `dme-qp` interior-point solver as a standalone QP
 //! engine over MPS/QPS files: `solve` prints an OSQP-style summary
 //! (status, iterations, objective, residuals) for one problem, `suite`
-//! runs every fixture in a directory under both iteration strategies
-//! and prints the per-problem iteration table (non-convergence fails
-//! the command — this is the CI `qp-suite` gate). With `--report` the
+//! runs every fixture in a directory and prints the per-problem
+//! iteration table (non-convergence fails the command — this is the CI
+//! `qp-suite` gate). With `--report` the
 //! manifest's `records` section carries one `qp_solve` row per solve
 //! plus the `ipm_iter` per-iteration trajectory, machine-readable.
 //!
@@ -805,16 +805,11 @@ fn cmd_watch(args: &Args) -> Result<(), String> {
     }
 }
 
-/// Builds the IPM settings for `dmeopt qp` from `--strategy` and
-/// `--backend`. Unlike the env overrides (which degrade on typos so a
-/// long flow survives), an explicit CLI value must parse or the command
-/// aborts.
+/// Builds the IPM settings for `dmeopt qp` from `--backend`. Unlike the
+/// `DME_QP_BACKEND` override (which degrades on typos so a long flow
+/// survives), an explicit CLI value must parse or the command aborts.
 fn qp_settings(args: &Args) -> Result<dme_qp::IpmSettings, String> {
     let mut st = dme_qp::IpmSettings::default();
-    if let Some(v) = args.opts.get("strategy") {
-        st.strategy = dme_qp::IpmStrategy::parse(v)
-            .ok_or_else(|| format!("bad --strategy {v:?} (auto, mehrotra or basic)"))?;
-    }
     if let Some(v) = args.opts.get("backend") {
         st.backend = match v.to_ascii_lowercase().as_str() {
             "auto" => dme_qp::NewtonBackend::Auto,
@@ -879,8 +874,7 @@ fn qp_solve(args: &Args) -> Result<(), String> {
         pb.qp.a.nrows()
     );
     println!(
-        "strategy:   {} ({} backend)",
-        st.strategy.resolve().name(),
+        "backend:    {}",
         match st.backend {
             dme_qp::NewtonBackend::Auto => "auto",
             dme_qp::NewtonBackend::Direct => "direct",
@@ -907,10 +901,9 @@ fn qp_solve(args: &Args) -> Result<(), String> {
 }
 
 /// `qp suite [dir]` — solve every `.qps` fixture under `dir` (default
-/// `tests/qps`) with BOTH iteration strategies and print a per-problem
-/// iteration table; any non-converged solve fails the command. This is
-/// the CI `qp-suite` entry point and the source of the EXPERIMENTS.md
-/// iteration tables.
+/// `tests/qps`) and print a per-problem iteration table; any
+/// non-converged solve fails the command. This is the CI `qp-suite`
+/// entry point and the source of the EXPERIMENTS.md iteration tables.
 fn qp_suite(args: &Args) -> Result<(), String> {
     let dir = args
         .positionals
@@ -926,56 +919,32 @@ fn qp_suite(args: &Args) -> Result<(), String> {
     if paths.is_empty() {
         return Err(format!("{dir}: no .qps fixtures found"));
     }
-    let base = qp_settings(args)?;
+    let st = qp_settings(args)?;
     let mut failures = Vec::new();
-    let mut totals = [0usize; 2];
+    let mut total = 0usize;
     println!(
-        "{:<12} {:>4} {:>4} {:>9} {:>6}  objective",
-        "problem", "n", "m", "mehrotra", "basic"
+        "{:<12} {:>4} {:>4} {:>10}  objective",
+        "problem", "n", "m", "iterations"
     );
     for path in &paths {
         let label = path.file_stem().unwrap_or_default().to_string_lossy();
         let pb = dme_qp::mps::load_qps(path).map_err(|e| format!("{label}: {e}"))?;
-        let mut iters = [0usize; 2];
-        let mut objective = 0.0;
-        for (k, strategy) in [dme_qp::IpmStrategy::Mehrotra, dme_qp::IpmStrategy::Basic]
-            .into_iter()
-            .enumerate()
-        {
-            let st = dme_qp::IpmSettings {
-                strategy,
-                ..base.clone()
-            };
-            let (sol, obj) = qp_run_one(&label, &pb, &st)?;
-            if sol.status != dme_qp::SolveStatus::Solved {
-                failures.push(format!(
-                    "{label}/{}: {:?} after {} iterations",
-                    strategy.name(),
-                    sol.status,
-                    sol.iterations
-                ));
-            }
-            iters[k] = sol.iterations;
-            totals[k] += sol.iterations;
-            objective = obj;
+        let (sol, objective) = qp_run_one(&label, &pb, &st)?;
+        if sol.status != dme_qp::SolveStatus::Solved {
+            failures.push(format!(
+                "{label}: {:?} after {} iterations",
+                sol.status, sol.iterations
+            ));
         }
+        total += sol.iterations;
         println!(
-            "{label:<12} {:>4} {:>4} {:>9} {:>6}  {objective:.6e}",
+            "{label:<12} {:>4} {:>4} {:>10}  {objective:.6e}",
             pb.qp.num_vars(),
             pb.qp.a.nrows(),
-            iters[0],
-            iters[1]
+            sol.iterations
         );
     }
-    println!(
-        "{:<12} {:>4} {:>4} {:>9} {:>6}  ({:+.1}%)",
-        "total",
-        "",
-        "",
-        totals[0],
-        totals[1],
-        100.0 * (totals[0] as f64 - totals[1] as f64) / totals[1].max(1) as f64
-    );
+    println!("{:<12} {:>4} {:>4} {total:>10}", "total", "", "");
     if !failures.is_empty() {
         return Err(format!(
             "{} solve(s) failed to converge:\n  {}",
@@ -1025,11 +994,10 @@ const USAGE: &str = "usage: dmeopt <generate|analyze|optimize|flow|watch|obs|qp|
   watch   : <snapshot.json> [--interval-ms n] [--once]
             (live view of a run publishing snapshots; exits on final)
   obs     : ls (print the counter/span/histogram/record catalog)
-  qp      : solve <file.qps> [--strategy auto|mehrotra|basic]
-                 [--backend auto|direct|cg]
+  qp      : solve <file.qps> [--backend auto|direct|cg]
                  (OSQP-style summary; exit 1 on non-convergence)
-            suite [dir=tests/qps] (every fixture under both strategies,
-                 per-problem iteration table; exit 1 on non-convergence)
+            suite [dir=tests/qps] [--backend auto|direct|cg]
+                 (per-problem iteration table; exit 1 on non-convergence)
   qor     : ingest <manifest.json>... [--history h.jsonl] [--git-sha sha] [--ts secs]
             diff <run> <baseline> [--window n] [--k-mad k] [--min-rel f]
                  [--time-min-rel f] [--md out.md] [--informational]
@@ -1192,32 +1160,22 @@ mod tests {
     }
 
     #[test]
-    fn qp_rejects_bad_verbs_strategies_and_arities() {
+    fn qp_rejects_bad_verbs_backends_and_arities() {
         assert!(cmd_qp(&args(&["qp"])).is_err());
         assert!(cmd_qp(&args(&["qp", "frobnicate"])).is_err());
         assert!(cmd_qp(&args(&["qp", "solve"])).is_err());
         assert!(cmd_qp(&args(&["qp", "solve", "a.qps", "b.qps"])).is_err());
-        assert!(qp_settings(&args(&["qp", "solve", "a.qps", "--strategy", "fancy"])).is_err());
         assert!(qp_settings(&args(&["qp", "solve", "a.qps", "--backend", "gpu"])).is_err());
     }
 
     #[test]
     fn qp_settings_map_options() {
-        let a = args(&[
-            "qp",
-            "solve",
-            "x.qps",
-            "--strategy",
-            "basic",
-            "--backend",
-            "direct",
-        ]);
+        let a = args(&["qp", "solve", "x.qps", "--backend", "direct"]);
         let st = qp_settings(&a).expect("settings");
-        assert_eq!(st.strategy, dme_qp::IpmStrategy::Basic);
         assert!(matches!(st.backend, dme_qp::NewtonBackend::Direct));
-        // Defaults: Auto strategy (env-resolved at solve time), Auto backend.
+        // Default: the Auto backend.
         let st = qp_settings(&args(&["qp", "suite"])).expect("settings");
-        assert_eq!(st.strategy, dme_qp::IpmStrategy::Auto);
+        assert!(matches!(st.backend, dme_qp::NewtonBackend::Auto));
     }
 
     #[test]
@@ -1232,7 +1190,7 @@ mod tests {
         ]);
         qp_solve(&a).expect("hs35 solves");
         let a = args(&["qp", "suite", root]);
-        qp_suite(&a).expect("suite converges under both strategies");
+        qp_suite(&a).expect("every fixture converges");
     }
 
     #[test]

@@ -75,5 +75,4 @@ pub use error::DmoptError;
 pub use formulate::{Formulation, FormulationParams, VarLayout};
 pub use optimize::{
     formulation_params, optimize, DmoptConfig, DmoptResult, Layers, Objective, ObsSolverObserver,
-    SolverKind,
 };

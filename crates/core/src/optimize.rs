@@ -13,25 +13,10 @@ use std::time::{Duration, Instant};
 
 pub use crate::formulate::LayerChoice as Layers;
 
-/// Which convex solver backs the optimization.
-#[derive(Debug, Clone)]
-pub enum SolverKind {
-    /// Mehrotra predictor-corrector interior point (default — the right
-    /// tool for timing-chain QPs and the leakage-budget QCP, like the
-    /// paper's CPLEX).
-    Ipm(IpmSettings),
-}
-
-impl Default for SolverKind {
-    fn default() -> Self {
-        SolverKind::Ipm(IpmSettings::default())
-    }
-}
-
 /// Streams IPM telemetry into the observability registry: one `ipm_iter`
 /// record per Newton iteration (the convergence trajectory — µ, µ_aff,
 /// primal/dual residuals, σ, α), a `qp_backend_decision` record per
-/// backend decision, plus strategy/CG/factorization effort counters,
+/// backend decision, plus CG/factorization effort counters,
 /// reduced-precision stall exits and CG iteration-cap hits, and a
 /// per-solve CG iteration histogram. Only useful when tracing is
 /// enabled; shared by [`optimize`] and the `dmeopt qp` subcommand.
@@ -47,6 +32,8 @@ impl dme_qp::SolverObserver for ObsSolverObserver {
                 ("mu_aff", it.mu_aff),
                 ("rp_inf", it.primal_residual),
                 ("rd_inf", it.dual_residual),
+                ("rp_rel", it.rp_rel),
+                ("rd_rel", it.rd_rel),
                 ("sigma", it.sigma),
                 ("alpha", it.alpha),
                 ("cg_pred", it.cg_iters_predictor as f64),
@@ -54,13 +41,6 @@ impl dme_qp::SolverObserver for ObsSolverObserver {
             ],
         );
         dme_obs::counter_add("qp/ipm_iterations", 1);
-    }
-
-    fn strategy(&mut self, name: &'static str) {
-        match name {
-            "mehrotra" => dme_obs::counter_add("qp/strategy_mehrotra", 1),
-            _ => dme_obs::counter_add("qp/strategy_basic", 1),
-        }
     }
 
     fn cg_solve(&mut self, cg: &dme_qp::CgSolve) {
@@ -148,8 +128,7 @@ struct Solves {
 
 impl Solves {
     /// The configured solver with the `DME_QP_BACKEND` override applied.
-    fn new(kind: &SolverKind) -> Self {
-        let SolverKind::Ipm(st) = kind;
+    fn new(st: &IpmSettings) -> Self {
         let mut st = st.clone();
         if let Some(b) = std::env::var("DME_QP_BACKEND")
             .ok()
@@ -192,11 +171,6 @@ impl Solves {
     ) -> Result<Solution, DmoptError> {
         form.set_tau(tau);
         let sol = self.run(&form.qp, None)?;
-        if sol.status == SolveStatus::PrimalInfeasible {
-            return Err(DmoptError::Infeasible(format!(
-                "no dose map meets T ≤ {tau:.4} ns"
-            )));
-        }
         check_converged("QP", &sol, &form.qp, nominal_mct)?;
         Ok(sol)
     }
@@ -281,8 +255,8 @@ pub struct DmoptConfig {
     /// the margin under the optimized dose map. `None` disables the
     /// constraint (the paper's setting). Incompatible with `prune`.
     pub hold_margin_ns: Option<f64>,
-    /// Solver backend and settings.
-    pub solver: SolverKind,
+    /// Interior-point solver settings.
+    pub solver: IpmSettings,
 }
 
 impl Default for DmoptConfig {
@@ -299,7 +273,7 @@ impl Default for DmoptConfig {
             timing_margin_frac: 0.0,
             prune: false,
             hold_margin_ns: None,
-            solver: SolverKind::default(),
+            solver: IpmSettings::default(),
         }
     }
 }
@@ -972,10 +946,10 @@ mod tests {
                 objective: Objective::MinLeakage {
                     tau_ns: Some(ctx.nominal.mct_ns),
                 },
-                solver: SolverKind::Ipm(IpmSettings {
+                solver: IpmSettings {
                     backend,
                     ..IpmSettings::default()
-                }),
+                },
                 ..DmoptConfig::default()
             };
             optimize(&ctx, &cfg).expect("optimize")

@@ -145,7 +145,6 @@ fn forced_backends_report_forced() {
         IpmSolver::new(IpmSettings {
             max_iter: 1,
             backend,
-            ..IpmSettings::default()
         })
         .solve_observed(&qp, &mut obs)
         .expect("one Newton iteration");

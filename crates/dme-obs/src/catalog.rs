@@ -185,14 +185,6 @@ pub const METRICS: &[MetricInfo] = &[
         "solves ended by a stall exit and accepted at reduced precision",
     ),
     c(
-        "qp/strategy_basic",
-        "IPM solves run by the basic path-following strategy",
-    ),
-    c(
-        "qp/strategy_mehrotra",
-        "IPM solves run by the Mehrotra predictor-corrector",
-    ),
-    c(
         "qp/symbolic_reuse",
         "factorizations reusing the cached symbolic analysis",
     ),
@@ -235,7 +227,8 @@ pub const METRICS: &[MetricInfo] = &[
     ),
     r(
         "ipm_iter",
-        "per-Newton-iteration row: iter, mu, mu_aff, rp_inf, rd_inf, sigma, alpha, ...",
+        "per-Newton-iteration row: iter, mu, mu_aff, rp_inf, rd_inf, rp_rel, rd_rel \
+         (the relative residuals the exit tests compare), sigma, alpha, ...",
     ),
     r(
         "qcp_solve",
@@ -281,7 +274,7 @@ pub const METRICS: &[MetricInfo] = &[
     ),
     s(
         "flow/dmopt/solve/ipm/predictor",
-        "affine predictor probe (Mehrotra strategy only)",
+        "affine predictor probe",
     ),
     s(
         "flow/dmopt/solve/ipm/predictor/line_search",

@@ -13,10 +13,10 @@ const SPMV_ROW_GRAIN: usize = 256;
 
 /// A sparse matrix in compressed-sparse-row (CSR) format.
 ///
-/// Supports exactly the operations the ADMM solver and the dose-map
-/// formulation builder need: construction from triplets or rows,
-/// matrix–vector products with the matrix and its transpose, and per-column
-/// squared norms (for Jacobi preconditioning of `AᵀA`).
+/// Supports exactly the operations the interior-point solver and the
+/// dose-map formulation builder need: construction from triplets or rows,
+/// row iteration, and matrix–vector products with the matrix and its
+/// transpose.
 ///
 /// Transpose products use a lazily built, cached explicit transpose so
 /// `Aᵀx` is a row-parallel gather instead of a serial scatter; the gather
@@ -284,7 +284,7 @@ impl CsrMatrix {
         y
     }
 
-    /// `y = A·x` into a caller-provided buffer (reused across ADMM
+    /// `y = A·x` into a caller-provided buffer (reused across CG
     /// iterations to avoid per-iteration allocation).
     ///
     /// # Panics
@@ -402,15 +402,6 @@ impl CsrMatrix {
         })
     }
 
-    /// Per-column sums of squared entries, i.e. the diagonal of `AᵀA`.
-    pub fn column_sq_norms(&self) -> Vec<f64> {
-        let mut norms = vec![0.0; self.ncols];
-        for k in 0..self.vals.len() {
-            norms[self.col_idx[k]] += self.vals[k] * self.vals[k];
-        }
-        norms
-    }
-
     /// The main diagonal (length `min(nrows, ncols)`), zeros where absent.
     pub fn diag(&self) -> Vec<f64> {
         let n = self.nrows.min(self.ncols);
@@ -424,17 +415,6 @@ impl CsrMatrix {
         }
         d
     }
-
-    /// Converts to a dense row-major matrix (tests and tiny systems only).
-    pub fn to_dense(&self) -> Vec<Vec<f64>> {
-        let mut dense = vec![vec![0.0; self.ncols]; self.nrows];
-        for (r, row) in dense.iter_mut().enumerate() {
-            for k in self.row_ptr[r]..self.row_ptr[r + 1] {
-                row[self.col_idx[k]] += self.vals[k];
-            }
-        }
-        dense
-    }
 }
 
 #[cfg(test)]
@@ -445,6 +425,16 @@ mod tests {
         m.iter()
             .map(|row| row.iter().zip(x).map(|(a, b)| a * b).sum())
             .collect()
+    }
+
+    fn to_dense(m: &CsrMatrix) -> Vec<Vec<f64>> {
+        let mut dense = vec![vec![0.0; m.ncols()]; m.nrows()];
+        for (r, row) in dense.iter_mut().enumerate() {
+            for (c, v) in m.row(r) {
+                row[c] += v;
+            }
+        }
+        dense
     }
 
     #[test]
@@ -461,7 +451,7 @@ mod tests {
     fn mul_matches_dense() {
         let m =
             CsrMatrix::from_triplets(3, 2, &[(0, 0, 1.0), (0, 1, 2.0), (1, 0, -3.0), (2, 1, 0.5)]);
-        let dense = m.to_dense();
+        let dense = to_dense(&m);
         let x = [1.5, -2.0];
         assert_eq!(m.mul_vec(&x), dense_mul(&dense, &x));
         // transpose
@@ -483,12 +473,6 @@ mod tests {
         let d = CsrMatrix::diagonal(&[2.0, 0.0, -1.0]);
         assert_eq!(d.mul_vec(&[1.0, 5.0, 2.0]), vec![2.0, 0.0, -2.0]);
         assert_eq!(d.diag(), vec![2.0, 0.0, -1.0]);
-    }
-
-    #[test]
-    fn column_sq_norms_match_ata_diag() {
-        let m = CsrMatrix::from_triplets(2, 2, &[(0, 0, 3.0), (1, 0, 4.0), (1, 1, 2.0)]);
-        assert_eq!(m.column_sq_norms(), vec![25.0, 4.0]);
     }
 
     #[test]

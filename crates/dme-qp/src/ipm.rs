@@ -12,16 +12,14 @@
 //!
 //! by introducing row slacks `s = Ax` with barrier terms on the finite
 //! sides of `[l, u]`, reducing each Newton step to the SPD system
-//! `(P + AᵀDA)·Δx = rhs` (see [`crate::strategies::CondensedSystem`]).
+//! `(P + AᵀDA)·Δx = rhs` (see [`crate::strategies`]).
 //!
-//! The iteration loop is written against the pluggable strategy seams in
-//! [`crate::strategies`]: the default Mehrotra predictor-corrector runs
-//! an affine predictor solve and a second-order-corrected centering
-//! solve against one shared factorization per iteration, while the
-//! classical fixed-σ path-following baseline (`DME_QP_IPM=basic`, or
-//! [`IpmSettings::strategy`]) does a single centered solve — the two can
-//! be diffed per-iteration through [`SolverObserver`] telemetry and are
-//! benchmarked head-to-head by `scripts/bench_perf.sh`.
+//! Each iteration runs Mehrotra's predictor-corrector (SIAM J. Optim.
+//! 2(4), 1992): an affine predictor solve measures how far the gap can
+//! fall, picks the centering `σ = (µ_aff/µ)³`, and feeds second-order
+//! complementarity corrections into a centered corrector solve; both
+//! solves share one factorization. Per-iteration telemetry streams
+//! through [`SolverObserver`].
 //!
 //! Rows with `l = u` (equalities) are handled by clamping the barrier
 //! diagonal, which penalizes them stiffly; rows with both bounds infinite
@@ -39,15 +37,12 @@
 //! predicts, the second-order correction of the complementarity products
 //! carried over to the row.
 
-use crate::admm::{Solution, SolveStatus};
 use crate::ldl::{Analysis, DirectSolver};
 use crate::observer::{
-    BackendDecision, CgSolve, DecisionReason, IpmIteration, NopObserver, SolverObserver, StallExit,
+    BackendDecision, DecisionReason, IpmIteration, NopObserver, SolverObserver, StallExit,
 };
-use crate::strategies::{
-    AugmentedSystem, CenteringContext, CondensedSystem, FixedCentering, FractionToBoundary,
-    IpmStrategy, LineSearch, MehrotraCentering, MuUpdate, RowTerms, RowView,
-};
+use crate::scaling::Scaling;
+use crate::strategies::{mehrotra_sigma, step_lengths, CondensedSystem, RowTerms, RowView};
 use crate::{QuadProgram, QuadRow, SolveError};
 use dme_par::vecops;
 use std::cell::RefCell;
@@ -66,12 +61,12 @@ pub enum NewtonBackend {
     /// when the structure disqualifies itself (a dense constraint row or
     /// a pattern too large to enumerate).
     Direct,
-    /// Direct when one numeric factorization costs at most
-    /// [`IpmSettings::direct_work_limit`] flops per nonzero of `A`, else
-    /// CG. The symbolic analysis prices the factor before any of it is
-    /// allocated; the decision is made on first sight of a structure and
-    /// cached, and a CG decision is revisited once after the structure's
-    /// first solve with its measured CG effort.
+    /// Direct when one numeric factorization costs at most 600 flops per
+    /// nonzero of `A` (DESIGN.md has the calibration), else CG. The
+    /// symbolic analysis prices the factor before any of it is allocated;
+    /// the decision is made on first sight of a structure and cached, and
+    /// a CG decision is revisited once after the structure's first solve
+    /// with its measured CG effort.
     #[default]
     Auto,
 }
@@ -79,67 +74,78 @@ pub enum NewtonBackend {
 /// Settings for [`IpmSolver`].
 #[derive(Debug, Clone)]
 pub struct IpmSettings {
-    /// Convergence tolerance on the scaled primal/dual residuals.
-    pub eps: f64,
-    /// Convergence tolerance on the average complementarity gap µ.
-    pub eps_mu: f64,
     /// Maximum interior-point (Newton) iterations.
     pub max_iter: usize,
-    /// Maximum CG iterations per Newton solve.
-    pub cg_max_iter: usize,
-    /// Relative CG tolerance (the floor when adaptive forcing is on).
-    pub cg_tol: f64,
-    /// Fraction-to-the-boundary step factor.
-    pub step_frac: f64,
-    /// Ruiz equilibration passes (0 disables scaling).
-    pub scaling_iters: usize,
     /// Newton-system backend selection.
     pub backend: NewtonBackend,
-    /// `Auto` picks the direct backend only while one numeric
-    /// factorization's flops (`Σ colcountⱼ²` of `L`) per nonzero of `A`
-    /// stay at or below this limit. The ratio is a refactorization's cost
-    /// in units of the `A`/`Aᵀ` products one CG iteration performs, so it
-    /// compares the two backends' per-Newton-iteration work at the CG
-    /// iteration count the default was calibrated at (see DESIGN.md). A
-    /// structure sent to CG is re-decided once after its first solve,
-    /// with the limit scaled by the CG iterations per Newton solve it
-    /// measured relative to that count: deep timing graphs need several
-    /// times more.
-    pub direct_work_limit: f64,
-    /// Eisenstat–Walker adaptive forcing for the CG path: early Newton
-    /// iterations, whose steps are inaccurate anyway, solve to a loose
-    /// tolerance tied to the KKT residual decrease instead of grinding
-    /// to `cg_tol`.
-    pub adaptive_cg: bool,
-    /// Iteration strategy: Mehrotra predictor-corrector or the basic
-    /// fixed-σ path-following baseline. The default `Auto` resolves the
-    /// `DME_QP_IPM` environment override at solve time.
-    pub strategy: IpmStrategy,
-    /// Constant centering parameter for [`IpmStrategy::Basic`].
-    pub sigma_basic: f64,
 }
 
 impl Default for IpmSettings {
     fn default() -> Self {
         Self {
-            eps: 1e-6,
-            eps_mu: 1e-8,
             max_iter: 60,
-            cg_max_iter: 400,
-            cg_tol: 1e-10,
-            step_frac: 0.995,
-            scaling_iters: 10,
             backend: NewtonBackend::default(),
-            direct_work_limit: DIRECT_WORK_LIMIT,
-            adaptive_cg: true,
-            strategy: IpmStrategy::default(),
-            sigma_basic: 0.1,
         }
     }
 }
 
-/// Default [`IpmSettings::direct_work_limit`], in factor flops per
-/// nonzero of `A`.
+/// Termination status of a solve.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum SolveStatus {
+    /// The residuals met the tolerances, or a stall exit accepted the
+    /// iterate at reduced precision ([`SolverObserver::stall_exit`]).
+    Solved,
+    /// The iteration limit was hit, or the step length collapsed short of
+    /// the reduced tolerances; the returned point is the last iterate.
+    MaxIterations,
+}
+
+/// Result of a solve.
+#[derive(Debug, Clone)]
+pub struct Solution {
+    /// Primal solution.
+    pub x: Vec<f64>,
+    /// Dual solution, one multiplier per constraint row: positive where
+    /// the upper bound binds, negative where the lower bound does.
+    pub y: Vec<f64>,
+    /// Objective value `½ xᵀPx + qᵀx` at `x`.
+    pub objective: f64,
+    /// Termination status.
+    pub status: SolveStatus,
+    /// Interior-point iterations used.
+    pub iterations: usize,
+    /// Constraint violation `max(0, l − Ax, Ax − u)` in the ∞-norm
+    /// (unscaled; the quadratic row's violation counts too).
+    pub primal_residual: f64,
+    /// Dual residual `‖Px + q + Aᵀy‖∞` (unscaled; plus the quadratic
+    /// row's `λ·∇c(x)`).
+    pub dual_residual: f64,
+    /// Multiplier λ ≥ 0 of the convex quadratic row of
+    /// [`IpmSolver::solve_qcp`] (0 without one).
+    pub row_multiplier: f64,
+}
+
+/// Convergence tolerance on the scaled relative primal/dual residuals.
+const EPS: f64 = 1e-6;
+
+/// Convergence tolerance on the average complementarity gap µ.
+const EPS_MU: f64 = 1e-8;
+
+/// Floor of the Eisenstat–Walker relative CG tolerance.
+const CG_TOL: f64 = 1e-10;
+
+/// Fraction-to-the-boundary step factor.
+const STEP_FRAC: f64 = 0.995;
+
+/// `Auto` picks the direct backend only while one numeric
+/// factorization's flops (`Σ colcountⱼ²` of `L`) per nonzero of `A` stay
+/// at or below this limit. The ratio is a refactorization's cost in
+/// units of the `A`/`Aᵀ` products one CG iteration performs, so it
+/// compares the two backends' per-Newton-iteration work at the CG
+/// iteration count the limit was calibrated at (see DESIGN.md). A
+/// structure sent to CG is re-decided once after its first solve, with
+/// the limit scaled by the CG iterations per Newton solve it measured
+/// relative to that count: deep timing graphs need several times more.
 const DIRECT_WORK_LIMIT: f64 = 600.0;
 
 /// CG iterations per Newton solve at which [`DIRECT_WORK_LIMIT`] was
@@ -168,8 +174,7 @@ enum DirectCache {
     Built(Box<DirectSolver>),
 }
 
-/// Interior-point solver over the strategy seams in
-/// [`crate::strategies`] (Mehrotra predictor-corrector by default).
+/// Mehrotra predictor-corrector interior-point solver.
 #[derive(Debug, Clone, Default)]
 pub struct IpmSolver {
     settings: IpmSettings,
@@ -269,7 +274,7 @@ impl IpmSolver {
         let _span = dme_obs::span("ipm");
         // Ruiz equilibration: mixed row/column units (ns-scale timing rows
         // against %-scale dose rows) otherwise stall the dual residual.
-        let scale = crate::admm::Scaling::compute(qp, self.settings.scaling_iters);
+        let scale = Scaling::compute(qp);
         let n = qp.num_vars();
         let m = qp.num_constraints();
         let scaled = QuadProgram {
@@ -329,7 +334,7 @@ impl IpmSolver {
     /// first time the structure is seen. Solves on the same structure
     /// reuse the result, so this also moves the symbolic cost out of the
     /// first solve. Under `Auto` a structure sent to CG is re-decided
-    /// once, after its first solve (see [`IpmSettings::direct_work_limit`]).
+    /// once, after its first solve (see [`NewtonBackend::Auto`]).
     pub fn resolve_backend(&self, qp: &QuadProgram) -> NewtonBackend {
         if self.use_direct(qp, &mut NopObserver) {
             NewtonBackend::Direct
@@ -360,7 +365,7 @@ impl IpmSolver {
             nnz_l: 0,
             factor_flops: 0,
             work_ratio: 0.0,
-            work_limit: st.direct_work_limit,
+            work_limit: DIRECT_WORK_LIMIT,
             cg_iters_per_solve: CALIBRATION_CG_ITERS,
             backend: NewtonBackend::Cg,
             reason: DecisionReason::Forced,
@@ -385,7 +390,7 @@ impl IpmSolver {
                     if !forced {
                         decision.reason = DecisionReason::Cost;
                     }
-                    (forced || decision.work_ratio <= st.direct_work_limit)
+                    (forced || decision.work_ratio <= DIRECT_WORK_LIMIT)
                         .then(|| DirectSolver::build(an, &qp.p, &qp.a, fp))
                 }
             }
@@ -412,8 +417,7 @@ impl IpmSolver {
             return;
         };
         decision.cg_iters_per_solve = cg_iters_per_solve;
-        decision.work_limit =
-            self.settings.direct_work_limit * cg_iters_per_solve / CALIBRATION_CG_ITERS;
+        decision.work_limit = DIRECT_WORK_LIMIT * cg_iters_per_solve / CALIBRATION_CG_ITERS;
         *cache = DirectCache::Rejected(fp);
         if decision.work_ratio <= decision.work_limit {
             let _span = dme_obs::span("symbolic");
@@ -448,21 +452,6 @@ impl IpmSolver {
             }
             ax
         };
-
-        // Strategy seams: the centering rule decides whether an affine
-        // predictor pass runs; the line search maps directions to steps.
-        let strategy = st.strategy.resolve();
-        obs.strategy(strategy.name());
-        let mehrotra_mu = MehrotraCentering;
-        let fixed_mu = FixedCentering {
-            sigma: st.sigma_basic,
-        };
-        let mu_rule: &dyn MuUpdate = match strategy {
-            IpmStrategy::Basic => &fixed_mu,
-            _ => &mehrotra_mu,
-        };
-        let use_predictor = mu_rule.needs_predictor();
-        let line_search = FractionToBoundary;
 
         // Scale used to make equality rows (l = u) numerically benign:
         // give them a tiny synthetic gap.
@@ -507,7 +496,7 @@ impl IpmSolver {
             Some(DirectCache::Built(ds)) => Some(ds.as_mut()),
             _ => None,
         };
-        let mut sys = CondensedSystem::new(p, a, direct, st.cg_max_iter);
+        let mut sys = CondensedSystem::new(p, a, direct);
 
         // Scratch buffers.
         let mut d = vec![0.0f64; mr];
@@ -657,7 +646,7 @@ impl IpmSolver {
             let rd_inf = inf_norm(&rd) / rd_scale;
             final_rp = inf_norm(&rp);
             final_rd = inf_norm(&rd);
-            if rp_inf < st.eps && rd_inf < st.eps && mu < st.eps_mu {
+            if rp_inf < EPS && rd_inf < EPS && mu < EPS_MU {
                 status = SolveStatus::Solved;
                 iterations = iter;
                 break;
@@ -739,24 +728,18 @@ impl IpmSolver {
             // are trying to reach: with a huge RHS (D·rp terms), relative
             // tolerance alone leaves an absolute error that becomes the
             // dual-residual floor.
-            let cg_abs_tol = (1e-2 * inf_norm(&rd))
-                .max(0.05 * st.eps * q_norm)
-                .max(1e-13);
+            let cg_abs_tol = (1e-2 * inf_norm(&rd)).max(0.05 * EPS * q_norm).max(1e-13);
             // Eisenstat–Walker forcing: the relative CG tolerance tracks
             // the square of the KKT residual contraction, so early Newton
             // steps (inaccurate regardless) stop over-solving while the
-            // endgame still reaches `cg_tol`. The absolute floor above is
+            // endgame still reaches `CG_TOL`. The absolute floor above is
             // what guarantees final accuracy either way.
             let kkt = rp_inf.max(rd_inf);
-            let cg_rel_tol = if st.adaptive_cg {
-                match prev_kkt {
-                    Some(prev) if prev > 0.0 && kkt.is_finite() => {
-                        (0.9 * (kkt / prev).powi(2)).clamp(st.cg_tol, 1e-2)
-                    }
-                    _ => 1e-2,
+            let cg_rel_tol = match prev_kkt {
+                Some(prev) if prev > 0.0 && kkt.is_finite() => {
+                    (0.9 * (kkt / prev).powi(2)).clamp(CG_TOL, 1e-2)
                 }
-            } else {
-                st.cg_tol
+                _ => 1e-2,
             };
             prev_kkt = Some(kkt);
             sys.set_tolerances(cg_rel_tol, cg_abs_tol);
@@ -792,14 +775,12 @@ impl IpmSolver {
             };
 
             // Affine predictor: (P + AᵀDA)Δx = −rd − Aᵀ(g + D·rp) with the
-            // first-order g, probed to the boundary to measure µ_aff. The
-            // basic strategy skips it; the affine deltas stay zero so the
-            // shared corrector formulas below degrade to plain centering.
+            // first-order g, probed to the boundary to measure µ_aff.
             let mut ds_aff = vec![0.0f64; mr];
             let mut dzl_aff = vec![0.0f64; mr];
             let mut dzu_aff = vec![0.0f64; mr];
             let mut kappa_aff = 0.0;
-            let (mu_aff, cg_pred) = if use_predictor {
+            let (mu_aff, cg_pred) = {
                 let _span = dme_obs::span("predictor");
                 let cg_pred = sys.solve(&g, &d, &rd, &rp, &mut dx, obs)?;
                 let adx = row_product(&dx);
@@ -817,7 +798,7 @@ impl IpmSolver {
                 }
                 let (ap_aff, ad_aff) = {
                     let _span = dme_obs::span("line_search");
-                    line_search.step_lengths(&rows_view, &ds_aff, &dzl_aff, &dzu_aff, 1.0)
+                    step_lengths(&rows_view, &ds_aff, &dzl_aff, &dzu_aff, 1.0)
                 };
                 let a_aff = ap_aff.min(ad_aff);
                 // µ after the affine step.
@@ -836,22 +817,8 @@ impl IpmSolver {
                     mu_aff /= nfin as f64;
                 }
                 (mu_aff, cg_pred)
-            } else {
-                (
-                    mu,
-                    CgSolve {
-                        iterations: 0,
-                        rel_residual: 0.0,
-                        capped: false,
-                    },
-                )
             };
-            let sigma = mu_rule.sigma(&CenteringContext {
-                mu,
-                mu_aff,
-                rd_inf: inf_norm(&rd),
-                q_norm,
-            });
+            let sigma = mehrotra_sigma(mu, mu_aff, inf_norm(&rd), q_norm);
 
             // Per-row centering targets: σµ, except on narrow-box rows —
             // equality rows live in the 1e-8 synthetic gap — where the
@@ -876,9 +843,7 @@ impl IpmSolver {
                 }
             }
 
-            // Corrector (the only solve for the basic strategy): σµ
-            // centering plus the Mehrotra second-order terms (zero when no
-            // predictor ran).
+            // Corrector: σµ centering plus the Mehrotra second-order terms.
             let _span_corr = dme_obs::span("corrector");
             for i in 0..mr {
                 let mut gi = 0.0;
@@ -903,8 +868,8 @@ impl IpmSolver {
             }
             let cg_corr = sys.solve(&g, &d, &rd, &rp_corr, &mut dx, obs)?;
             cg_iters += cg_pred.iterations + cg_corr.iterations;
-            cg_solves += 1 + usize::from(use_predictor);
-            if cg_corr.capped && (cg_pred.capped || !use_predictor) {
+            cg_solves += 2;
+            if cg_corr.capped && cg_pred.capped {
                 capped_streak += 1;
             } else {
                 capped_streak = 0;
@@ -927,7 +892,7 @@ impl IpmSolver {
             }
             let (ap_step, ad_step) = {
                 let _span = dme_obs::span("line_search");
-                line_search.step_lengths(&rows_view, &ds, &dzl, &dzu, st.step_frac)
+                step_lengths(&rows_view, &ds, &dzl, &dzu, STEP_FRAC)
             };
             drop(_span_corr);
             // One common step: the QP dual residual couples x and y, so
@@ -940,19 +905,13 @@ impl IpmSolver {
                 mu_aff,
                 primal_residual: final_rp,
                 dual_residual: final_rd,
+                rp_rel: rp_inf,
+                rd_rel: rd_inf,
                 sigma,
                 alpha,
                 cg_iters_predictor: cg_pred.iterations,
                 cg_iters_corrector: cg_corr.iterations,
             });
-            if std::env::var_os("DME_IPM_TRACE").is_some() {
-                eprintln!(
-                    "ipm iter {iter:>3}: mu={mu:.3e} rp={:.2e} rd={:.2e} rp_rel={rp_inf:.2e} \
-                     rd_rel={rd_inf:.2e} sigma={sigma:.2e} alpha={alpha:.3e}",
-                    inf_norm(&rp),
-                    inf_norm(&rd)
-                );
-            }
 
             // Stall exit: once the common step length collapses the
             // iterate no longer moves. At that point the primal is
@@ -1031,17 +990,9 @@ fn inf_norm(v: &[f64]) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::observer::FactorizationEvent;
+    use crate::certificate::kkt_certificate;
+    use crate::observer::{CgSolve, FactorizationEvent};
     use crate::CsrMatrix;
-
-    /// Default settings with the strategy pinned to Mehrotra so the
-    /// assertions stay meaningful under the `DME_QP_IPM=basic` CI leg.
-    fn mehrotra_settings() -> IpmSettings {
-        IpmSettings {
-            strategy: IpmStrategy::Mehrotra,
-            ..IpmSettings::default()
-        }
-    }
 
     fn solve(qp: &QuadProgram) -> Solution {
         IpmSolver::new(IpmSettings::default())
@@ -1177,41 +1128,13 @@ mod tests {
         // Uniform dose d = 0.075 on every grid is feasible with objective
         // k·(d² + 6d) ≈ 4.56; the optimizer must do at least as well.
         assert!(s.objective <= uniform_obj + 1e-6, "obj = {}", s.objective);
+        kkt_certificate(&qp, &s).unwrap();
     }
 
     #[test]
-    fn basic_strategy_matches_mehrotra_on_the_chain_problem() {
-        // The fixed-σ baseline must reach the same optimum; Mehrotra's
-        // adaptive centering must not need more iterations than it.
-        let (qp, _, _, _) = chain_qp();
-        let mehrotra = IpmSolver::new(mehrotra_settings()).solve(&qp).expect("pc");
-        let basic = IpmSolver::new(IpmSettings {
-            strategy: IpmStrategy::Basic,
-            ..IpmSettings::default()
-        })
-        .solve(&qp)
-        .expect("basic");
-        assert_eq!(basic.status, SolveStatus::Solved);
-        assert!(
-            (mehrotra.objective - basic.objective).abs() < 1e-4 * (1.0 + mehrotra.objective.abs()),
-            "objectives diverge: {} vs {}",
-            mehrotra.objective,
-            basic.objective
-        );
-        assert!(qp.max_violation(&basic.x) < 1e-6);
-        assert!(
-            mehrotra.iterations <= basic.iterations,
-            "mehrotra {} vs basic {}",
-            mehrotra.iterations,
-            basic.iterations
-        );
-    }
-
-    #[test]
-    fn ipm_and_admm_agree() {
-        // Cross-check the two backends on a moderately sized strongly
-        // convex problem: both must reach the same optimum.
-        use crate::{AdmmSettings, AdmmSolver};
+    fn difference_bounded_program_is_certified_optimal() {
+        // A moderately sized strongly convex program: boxes on every
+        // variable and on every difference of neighbors.
         let n = 12usize;
         let p_diag: Vec<f64> = (0..n).map(|i| 1.0 + (i % 4) as f64).collect();
         let q: Vec<f64> = (0..n).map(|i| ((i * 7) % 5) as f64 - 2.0).collect();
@@ -1232,22 +1155,9 @@ mod tests {
             u[i] = 0.5;
         }
         let qp = QuadProgram::new(CsrMatrix::diagonal(&p_diag), q, a, l, u).unwrap();
-        let ipm = solve(&qp);
-        let admm = AdmmSolver::new(AdmmSettings::default()).solve(&qp).unwrap();
-        assert!(
-            (ipm.objective - admm.objective).abs() < 1e-3 * (1.0 + ipm.objective.abs()),
-            "IPM {} vs ADMM {}",
-            ipm.objective,
-            admm.objective
-        );
-        for j in 0..n {
-            assert!(
-                (ipm.x[j] - admm.x[j]).abs() < 5e-3,
-                "x[{j}]: {} vs {}",
-                ipm.x[j],
-                admm.x[j]
-            );
-        }
+        let s = solve(&qp);
+        assert_eq!(s.status, SolveStatus::Solved);
+        kkt_certificate(&qp, &s).unwrap();
     }
 
     #[derive(Default)]
@@ -1256,7 +1166,6 @@ mod tests {
         cg: Vec<CgSolve>,
         factorizations: Vec<FactorizationEvent>,
         backends: Vec<&'static str>,
-        strategies: Vec<&'static str>,
     }
     impl SolverObserver for Collect {
         fn ipm_iteration(&mut self, it: &IpmIteration) {
@@ -1267,9 +1176,6 @@ mod tests {
         }
         fn newton_backend(&mut self, backend: &'static str) {
             self.backends.push(backend);
-        }
-        fn strategy(&mut self, name: &'static str) {
-            self.strategies.push(name);
         }
         fn factorization(&mut self, ev: &FactorizationEvent) {
             self.factorizations.push(*ev);
@@ -1291,16 +1197,14 @@ mod tests {
     fn observer_streams_per_iteration_telemetry() {
         let qp = small_qp();
         let mut obs = Collect::default();
-        // Pin the CG backend (this test asserts the per-CG-solve stream)
-        // and the Mehrotra strategy (two CG solves per iteration).
+        // Pin the CG backend: this test asserts the per-CG-solve stream.
         let s = IpmSolver::new(IpmSettings {
             backend: NewtonBackend::Cg,
-            ..mehrotra_settings()
+            ..IpmSettings::default()
         })
         .solve_observed(&qp, &mut obs)
         .expect("solve");
         assert_eq!(s.status, SolveStatus::Solved);
-        assert_eq!(obs.strategies, vec!["mehrotra"]);
         // One record per completed Newton iteration, indexed in order,
         // and two CG solves (predictor + corrector) per record, plus the
         // one loose solve behind the cold starting-point heuristic.
@@ -1312,6 +1216,9 @@ mod tests {
             assert!(it.mu_aff.is_finite() && it.mu_aff >= 0.0);
             assert!(it.primal_residual.is_finite());
             assert!(it.dual_residual.is_finite());
+            // The relative residuals divide by scales of at least 1.
+            assert!((0.0..=it.primal_residual).contains(&it.rp_rel));
+            assert!((0.0..=it.dual_residual).contains(&it.rd_rel));
             assert!((0.0..=1.0).contains(&it.alpha));
         }
         assert_eq!(obs.cg.len(), 2 * obs.iters.len() + 1);
@@ -1322,31 +1229,6 @@ mod tests {
         let first = obs.iters.first().unwrap().mu;
         let last = obs.iters.last().unwrap().mu;
         assert!(last < first, "mu did not decrease: {first} -> {last}");
-    }
-
-    #[test]
-    fn basic_strategy_does_one_solve_per_iteration() {
-        let qp = small_qp();
-        let mut obs = Collect::default();
-        let s = IpmSolver::new(IpmSettings {
-            backend: NewtonBackend::Cg,
-            strategy: IpmStrategy::Basic,
-            ..IpmSettings::default()
-        })
-        .solve_observed(&qp, &mut obs)
-        .expect("solve");
-        assert_eq!(s.status, SolveStatus::Solved);
-        assert_eq!(obs.strategies, vec!["basic"]);
-        // One corrector CG solve per iteration (plus the starting-point
-        // solve); the predictor pass is skipped entirely.
-        assert_eq!(obs.cg.len(), obs.iters.len() + 1);
-        for it in &obs.iters {
-            assert_eq!(it.cg_iters_predictor, 0);
-            // With no affine probe, µ_aff is reported as µ and σ is the
-            // fixed centering parameter (until the safeguard bites).
-            assert_eq!(it.mu_aff, it.mu);
-            assert!(it.sigma >= 0.1 - 1e-15);
-        }
     }
 
     #[test]
@@ -1381,7 +1263,7 @@ mod tests {
         let qp = small_qp();
         let solver = IpmSolver::new(IpmSettings {
             backend: NewtonBackend::Direct,
-            ..mehrotra_settings()
+            ..IpmSettings::default()
         });
         let mut obs = Collect::default();
         let s = solver.solve_observed(&qp, &mut obs).expect("solve");
@@ -1583,5 +1465,10 @@ mod tests {
         .unwrap();
         let s = solve(&qp);
         assert!((s.x[0] - 1.0).abs() < 1e-6);
+        // No rows at all: the same unconstrained minimum.
+        let bare = QuadProgram::new(qp.p, qp.q, CsrMatrix::zeros(0, 1), vec![], vec![]).unwrap();
+        let s = solve(&bare);
+        assert_eq!(s.status, SolveStatus::Solved);
+        assert!((s.x[0] - 1.0).abs() < 1e-6, "x = {}", s.x[0]);
     }
 }

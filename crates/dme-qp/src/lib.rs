@@ -5,18 +5,18 @@
 //! timing yield enhancement and leakage power reduction"* (DAC 2008 /
 //! TCAD 2010). It provides:
 //!
-//! - [`CsrMatrix`]: a compressed-sparse-row matrix with the handful of
-//!   operations an operator-splitting solver needs (`A·x`, `Aᵀ·x`,
-//!   column norms),
-//! - [`QuadProgram`] + [`AdmmSolver`]: an OSQP-style ADMM solver for
-//!   problems of the form `min ½·xᵀPx + qᵀx  s.t.  l ≤ Ax ≤ u`, with the
-//!   `x`-update performed by a matrix-free preconditioned conjugate-gradient
-//!   solve (the KKT matrix `P + σI + ρAᵀA` is never formed),
-//! - [`IpmSolver`]: the Mehrotra predictor-corrector interior-point
-//!   solver the dose-map programs run on, which also carries one convex
-//!   quadratic row ([`QuadRow`], [`IpmSolver::solve_qcp`]) — the paper's
-//!   quadratically constrained program (minimize the clock period
-//!   subject to a leakage bound) in one solve,
+//! - [`CsrMatrix`]: a compressed-sparse-row matrix with the products
+//!   the solver and the dose-map formulation need (`A·x`, `Aᵀ·x`),
+//! - [`QuadProgram`] + [`IpmSolver`]: the Mehrotra predictor-corrector
+//!   interior-point solver for problems of the form
+//!   `min ½·xᵀPx + qᵀx  s.t.  l ≤ Ax ≤ u` that every dose-map program runs
+//!   on, with each Newton system solved by a cached sparse LDLᵀ or by
+//!   matrix-free conjugate gradients ([`NewtonBackend`]). It also carries
+//!   one convex quadratic row ([`QuadRow`], [`IpmSolver::solve_qcp`]) —
+//!   the paper's quadratically constrained program (minimize the clock
+//!   period subject to a leakage bound) in one solve,
+//! - [`mps`]: a QPS reader and writer, so the solver can be validated on
+//!   external problems,
 //! - [`lsq`]: small dense least-squares fits used for library
 //!   characterization (the `Ap`, `Bp`, `αp`, `βp`, `γp` coefficients).
 //!
@@ -25,7 +25,7 @@
 //! Minimize `(x₀−1)² + (x₁−2)²` subject to `x₀ + x₁ ≤ 2` and `x ≥ 0`:
 //!
 //! ```
-//! use dme_qp::{CsrMatrix, QuadProgram, AdmmSettings, AdmmSolver};
+//! use dme_qp::{CsrMatrix, IpmSettings, IpmSolver, QuadProgram, SolveStatus};
 //!
 //! # fn main() -> Result<(), dme_qp::SolveError> {
 //! let p = CsrMatrix::diagonal(&[2.0, 2.0]);
@@ -34,16 +34,16 @@
 //! let l = vec![f64::NEG_INFINITY, 0.0, 0.0];
 //! let u = vec![2.0, f64::INFINITY, f64::INFINITY];
 //! let qp = QuadProgram::new(p, q, a, l, u)?;
-//! let sol = AdmmSolver::new(AdmmSettings::default()).solve(&qp)?;
-//! assert!((sol.x[0] - 0.5).abs() < 1e-4);
-//! assert!((sol.x[1] - 1.5).abs() < 1e-4);
+//! let sol = IpmSolver::new(IpmSettings::default()).solve(&qp)?;
+//! assert_eq!(sol.status, SolveStatus::Solved);
+//! assert!((sol.x[0] - 0.5).abs() < 1e-6);
+//! assert!((sol.x[1] - 1.5).abs() < 1e-6);
 //! # Ok(())
 //! # }
 //! ```
 
 #![deny(missing_docs)]
 
-mod admm;
 mod csr;
 mod error;
 mod ipm;
@@ -52,17 +52,16 @@ pub mod lsq;
 pub mod mps;
 mod observer;
 mod ordering;
-pub mod strategies;
+mod scaling;
+mod strategies;
 
-pub use admm::{AdmmSettings, AdmmSolver, Solution, SolveStatus};
 pub use csr::CsrMatrix;
 pub use error::SolveError;
-pub use ipm::{IpmSettings, IpmSolver, NewtonBackend};
+pub use ipm::{IpmSettings, IpmSolver, NewtonBackend, Solution, SolveStatus};
 pub use observer::{
     BackendDecision, CgSolve, DecisionReason, FactorizationEvent, IpmIteration, NopObserver,
     SolverObserver, StallExit,
 };
-pub use strategies::IpmStrategy;
 
 /// A convex quadratic program `min ½·xᵀPx + qᵀx  s.t.  l ≤ Ax ≤ u`.
 ///
@@ -197,6 +196,15 @@ impl QuadRow {
             .collect()
     }
 }
+
+// The KKT optimality certificate is shared with the integration tests,
+// which reach this crate as `dme_qp`; the alias lets the unit tests
+// compile the same file.
+#[cfg(test)]
+extern crate self as dme_qp;
+#[cfg(test)]
+#[path = "../tests/common/certificate.rs"]
+mod certificate;
 
 #[cfg(test)]
 mod tests {

@@ -120,7 +120,10 @@ pub fn load_qps(path: &std::path::Path) -> Result<QpsProblem, MpsError> {
 /// Supported sections: `NAME`, `ROWS` (`N`/`E`/`L`/`G`), `COLUMNS`,
 /// `RHS`, `RANGES`, `BOUNDS` (`LO`/`UP`/`FX`/`FR`/`MI`/`PL`),
 /// `QUADOBJ`/`QMATRIX`, `ENDATA`. Integer markers and integer bound
-/// types are rejected — this is a continuous QP solver.
+/// types are rejected — this is a continuous QP solver. Every number
+/// must be finite, and so must every coefficient its duplicates sum to;
+/// the only infinities accepted are `LO -inf` and `UP +inf`, which leave
+/// their side of the variable open.
 ///
 /// # Errors
 ///
@@ -152,8 +155,28 @@ pub fn parse_qps(text: &str) -> Result<QpsProblem, MpsError> {
 
     let err = |line: usize, msg: String| MpsError::Parse { line, msg };
     let num = |line: usize, tok: &str| -> Result<f64, MpsError> {
-        tok.parse::<f64>()
-            .map_err(|_| err(line, format!("expected a number, got '{tok}'")))
+        match tok.parse::<f64>() {
+            Ok(v) if v.is_finite() => Ok(v),
+            Ok(_) => Err(err(line, format!("expected a finite number, got '{tok}'"))),
+            Err(_) => Err(err(line, format!("expected a number, got '{tok}'"))),
+        }
+    };
+    // A variable bound: finite, or the infinity `open` that leaves its
+    // side unbounded.
+    let bound = |line: usize, tok: &str, open: f64| -> Result<f64, MpsError> {
+        match tok.parse::<f64>() {
+            Ok(v) if v == open => Ok(v),
+            _ => num(line, tok),
+        }
+    };
+    // Adds a duplicate card's value to an accumulated coefficient.
+    let accumulate = |line: usize, acc: &mut f64, v: f64| -> Result<(), MpsError> {
+        *acc += v;
+        if acc.is_finite() {
+            Ok(())
+        } else {
+            Err(err(line, "coefficient overflows".into()))
+        }
     };
 
     for (idx, raw) in text.lines().enumerate() {
@@ -235,12 +258,12 @@ pub fn parse_qps(text: &str) -> Result<QpsProblem, MpsError> {
                 for pair in toks[1..].chunks(2) {
                     let val = num(lineno, pair[1])?;
                     if Some(pair[0]) == obj_row.as_deref() {
-                        *q_obj.entry(col).or_insert(0.0) += val;
+                        accumulate(lineno, q_obj.entry(col).or_insert(0.0), val)?;
                     } else {
                         let Some(&r) = row_index.get(pair[0]) else {
                             return Err(err(lineno, format!("unknown row '{}'", pair[0])));
                         };
-                        *a_entries.entry((r, col)).or_insert(0.0) += val;
+                        accumulate(lineno, a_entries.entry((r, col)).or_insert(0.0), val)?;
                     }
                 }
             }
@@ -309,11 +332,11 @@ pub fn parse_qps(text: &str) -> Result<QpsProblem, MpsError> {
                 };
                 match kind.as_str() {
                     "LO" => {
-                        var_lo[j] = num(lineno, toks[3])?;
+                        var_lo[j] = bound(lineno, toks[3], f64::NEG_INFINITY)?;
                         explicit_lo[j] = true;
                     }
                     "UP" => {
-                        let v = num(lineno, toks[3])?;
+                        let v = bound(lineno, toks[3], f64::INFINITY)?;
                         var_hi[j] = v;
                         // Classic MPS rule: a negative upper bound with no
                         // stated lower bound frees the lower side.
@@ -353,7 +376,8 @@ pub fn parse_qps(text: &str) -> Result<QpsProblem, MpsError> {
                 // Lower-triangle entry of Q: mirror off-diagonals so the
                 // stored P is fully symmetric (the solver form keeps P
                 // explicit, ½·xᵀPx).
-                *quad.entry((j1.max(j2), j1.min(j2))).or_insert(0.0) += v;
+                let entry = quad.entry((j1.max(j2), j1.min(j2))).or_insert(0.0);
+                accumulate(lineno, entry, v)?;
             }
         }
     }
@@ -714,6 +738,39 @@ ENDATA
             let msg = e.to_string();
             assert!(msg.contains(want), "'{msg}' does not mention '{want}'");
         }
+    }
+
+    #[test]
+    fn non_finite_numbers_are_rejected_at_their_line() {
+        let with = |section: &str| {
+            format!("ROWS\n N  obj\n E  c1\nCOLUMNS\n    x1  obj  1.0  c1  1.0\n{section}ENDATA\n")
+        };
+        for (section, line) in [
+            ("RHS\n    RHS  c1  inf\n", 7),
+            ("RHS\n    RHS  obj  NaN\n", 7),
+            ("RANGES\n    RNG  c1  -inf\n", 7),
+            ("BOUNDS\n LO BND  x1  nan\n", 7),
+            ("BOUNDS\n LO BND  x1  inf\n", 7),
+            ("BOUNDS\n UP BND  x1  -inf\n", 7),
+            ("BOUNDS\n FX BND  x1  inf\n", 7),
+            ("QUADOBJ\n    x1  x1  nan\n", 7),
+            ("QUADOBJ\n    x1  x1  1e308\n    x1  x1  1e308\n", 8),
+        ] {
+            match parse_qps(&with(section)) {
+                Err(MpsError::Parse { line: at, .. }) => assert_eq!(at, line, "{section}"),
+                other => panic!("{section}: expected a parse error, got {other:?}"),
+            }
+        }
+        let text = "ROWS\n N  obj\nCOLUMNS\n    x1  obj  1e308\n    x1  obj  1e308\nENDATA\n";
+        assert!(matches!(
+            parse_qps(text),
+            Err(MpsError::Parse { line: 5, .. })
+        ));
+        // The open sides stay open.
+        let pb = parse_qps(&with("BOUNDS\n LO BND  x1  -inf\n UP BND  x1  inf\n")).unwrap();
+        assert_eq!(pb.qp.num_constraints(), 1, "a free variable adds no row");
+        let pb = parse_qps(&with("BOUNDS\n LO BND  x1  -1e308\n UP BND  x1  inf\n")).unwrap();
+        assert_eq!((pb.qp.l[1], pb.qp.u[1]), (-1e308, f64::INFINITY));
     }
 
     #[test]

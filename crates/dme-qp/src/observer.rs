@@ -13,21 +13,25 @@ use crate::NewtonBackend;
 /// Telemetry for one completed interior-point (Newton) iteration,
 /// reported just before the step is applied. The predictor/corrector
 /// split is visible per iteration: `mu_aff` and `cg_iters_predictor`
-/// carry the affine pass (degenerate — `mu_aff = mu`, zero CG
-/// iterations — under the basic single-solve strategy).
+/// carry the affine pass.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct IpmIteration {
     /// Zero-based Newton iteration index.
     pub iter: usize,
     /// Average complementarity gap µ at the top of the iteration.
     pub mu: f64,
-    /// Complementarity gap predicted by the affine predictor probe
-    /// (equal to `mu` when the strategy runs no predictor pass).
+    /// Complementarity gap predicted by the affine predictor probe.
     pub mu_aff: f64,
     /// Primal residual `‖Ax − s‖∞` (scaled problem, absolute).
     pub primal_residual: f64,
     /// Dual residual `‖Px + q + Aᵀy‖∞` (scaled problem, absolute).
     pub dual_residual: f64,
+    /// `primal_residual` relative to the magnitude of the terms that
+    /// compose it: the value the convergence and stall exits compare.
+    pub rp_rel: f64,
+    /// `dual_residual` relative to the magnitude of the terms that
+    /// compose it: the value the convergence and stall exits compare.
+    pub rd_rel: f64,
     /// Mehrotra centering parameter σ chosen this iteration.
     pub sigma: f64,
     /// Common primal/dual step length α actually taken.
@@ -45,8 +49,8 @@ pub struct CgSolve {
     pub iterations: usize,
     /// Final relative residual `‖r‖₂ / ‖b‖₂`.
     pub rel_residual: f64,
-    /// Whether the solve stopped at [`crate::IpmSettings::cg_max_iter`]
-    /// short of its tolerance.
+    /// Whether the solve stopped at the CG iteration cap (400) short of
+    /// its tolerance.
     pub capped: bool,
 }
 
@@ -99,7 +103,7 @@ pub enum DecisionReason {
     /// The pattern of `K` is too large to enumerate.
     PatternCap,
     /// The `Auto` work rule: factor flops per nonzero of `A` against
-    /// [`crate::IpmSettings::direct_work_limit`].
+    /// [`BackendDecision::work_limit`].
     Cost,
 }
 
@@ -145,10 +149,9 @@ pub trait SolverObserver {
         let _ = it;
     }
 
-    /// Called after every inner CG solve: predictor then corrector under
-    /// the Mehrotra strategy, corrector only under the basic strategy,
-    /// plus one loose solve for the cold starting-point heuristic. Not
-    /// called by the direct backend.
+    /// Called after every inner CG solve: predictor then corrector each
+    /// iteration, plus one loose solve for the cold starting-point
+    /// heuristic. Not called by the direct backend.
     fn cg_solve(&mut self, cg: &CgSolve) {
         let _ = cg;
     }
@@ -164,12 +167,6 @@ pub trait SolverObserver {
     /// after the structure's first solve (later solves reuse it).
     fn backend_decision(&mut self, decision: &BackendDecision) {
         let _ = decision;
-    }
-
-    /// Called once per solve after the iteration strategy resolves, with
-    /// `"mehrotra"` or `"basic"` (see [`crate::strategies::IpmStrategy`]).
-    fn strategy(&mut self, name: &'static str) {
-        let _ = name;
     }
 
     /// Called once per IPM iteration on the direct backend, after the

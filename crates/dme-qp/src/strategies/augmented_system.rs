@@ -1,10 +1,24 @@
-//! Newton (augmented-system) formulations and their linear solvers.
+//! The condensed Newton system of each interior-point iteration and its
+//! two linear solvers.
+//!
+//! After the slacks and one-sided multipliers are eliminated, each
+//! Newton step reduces to `(P + AᵀDA)·Δx = −r_d − Aᵀ(g + D·r_p)` where
+//! `D` is the barrier diagonal and `g` carries the complementarity
+//! targets. With a quadratic row ([`RowTerms`]) `P` gains `λ·diag(p_c)`
+//! and `A` gains the row gradient as an extra last row, so `d`, `g` and
+//! `r_p` carry one entry more than `A` has rows. One numeric preparation
+//! ([`CondensedSystem::prepare`]) serves both solves of an iteration —
+//! exactly what the Mehrotra predictor/corrector pair exploits.
 
 use crate::ldl::DirectSolver;
 use crate::observer::{CgSolve, FactorizationEvent, SolverObserver};
 use crate::{CsrMatrix, SolveError};
 use dme_par::vecops;
 use std::time::Instant;
+
+/// CG iterations per Newton solve before the solve stops short of its
+/// tolerance ([`CgSolve::capped`]).
+const CG_MAX_ITER: usize = 400;
 
 /// The convex quadratic row's part of one iteration's Newton matrix.
 ///
@@ -14,57 +28,11 @@ use std::time::Instant;
 /// the curvature `λ·diag(p_c)` of the Lagrangian. Its barrier weight is
 /// the last entry of the `d` passed alongside.
 #[derive(Debug, Clone, Copy)]
-pub struct RowTerms<'a> {
+pub(crate) struct RowTerms<'a> {
     /// `λ·p_c`, added to the diagonal of `P`.
-    pub hessian: &'a [f64],
+    pub(crate) hessian: &'a [f64],
     /// The row gradient `g` at the current iterate.
-    pub gradient: &'a [f64],
-}
-
-/// Forms and solves the per-iteration Newton system.
-///
-/// The contract is the condensed normal-equations form: after the slacks
-/// and one-sided multipliers are eliminated, each step reduces to
-/// `(P + AᵀDA)·Δx = −r_d − Aᵀ(g + D·r_p)` where `D` is the barrier
-/// diagonal and `g` carries the (strategy-dependent) complementarity
-/// targets. With a quadratic row ([`RowTerms`]) `P` gains `λ·diag(p_c)`
-/// and `A` gains the row gradient as an extra last row, so `d`, `g` and
-/// `r_p` carry one entry more than `A` has rows. Implementations own the
-/// linear-solver state so one numeric preparation
-/// ([`AugmentedSystem::prepare`]) can be shared by several solves —
-/// exactly what the Mehrotra predictor/corrector pair exploits.
-pub trait AugmentedSystem {
-    /// Linear-solver name for telemetry: `"direct"` or `"cg"`.
-    fn backend_name(&self) -> &'static str;
-
-    /// Sets the relative/absolute accuracy targets for subsequent
-    /// [`AugmentedSystem::solve`] calls (the Eisenstat–Walker forcing
-    /// sequence changes these every iteration).
-    fn set_tolerances(&mut self, rel_tol: f64, abs_tol: f64);
-
-    /// Prepares the system for the barrier diagonal `d` and, when the
-    /// program has one, the quadratic row's terms: one numeric
-    /// refactorization on the direct path (streamed to `obs`) plus the
-    /// row's Sherman–Morrison vector `K⁻¹g`; for matrix-free CG it only
-    /// records the row.
-    fn prepare(&mut self, d: &[f64], row: Option<RowTerms<'_>>, obs: &mut dyn SolverObserver);
-
-    /// Solves `(P + AᵀDA)·Δx = −rd − Aᵀ(g + D·rp)` into `dx`, streaming
-    /// CG telemetry to `obs` on the iterative path.
-    ///
-    /// # Errors
-    ///
-    /// [`SolveError::Numerical`] when the solve produces non-finite
-    /// values or CG detects negative curvature (`P` not PSD).
-    fn solve(
-        &mut self,
-        g: &[f64],
-        d: &[f64],
-        rd: &[f64],
-        rp: &[f64],
-        dx: &mut Vec<f64>,
-        obs: &mut dyn SolverObserver,
-    ) -> Result<CgSolve, SolveError>;
+    pub(crate) gradient: &'a [f64],
 }
 
 /// The condensed SPD formulation `(P + AᵀDA)` with the two bundled
@@ -73,13 +41,12 @@ pub trait AugmentedSystem {
 /// matrix-free CG. A quadratic row's rank-one term `d_c·ggᵀ` is never
 /// assembled: CG applies it with one dot and one axpy per product, and
 /// the direct path corrects the factor's solves by Sherman–Morrison.
-pub struct CondensedSystem<'a> {
+pub(crate) struct CondensedSystem<'a> {
     p: &'a CsrMatrix,
     a: &'a CsrMatrix,
     p_diag: Vec<f64>,
     direct: Option<&'a mut DirectSolver>,
     cg: Option<CgScratch>,
-    cg_max_iter: usize,
     rel_tol: f64,
     abs_tol: f64,
     /// The prepared quadratic row, if any.
@@ -131,12 +98,10 @@ impl<'a> CondensedSystem<'a> {
     /// Builds the system over the (scaled) problem matrices. Exactly one
     /// of the two linear solvers is active: `direct` when the caller's
     /// backend decision produced a factorization, CG otherwise.
-    /// Crate-internal: construction requires the private [`DirectSolver`].
     pub(crate) fn new(
         p: &'a CsrMatrix,
         a: &'a CsrMatrix,
         direct: Option<&'a mut DirectSolver>,
-        cg_max_iter: usize,
     ) -> Self {
         let n = p.ncols();
         let m = a.nrows();
@@ -147,7 +112,6 @@ impl<'a> CondensedSystem<'a> {
             p_diag: p.diag(),
             direct,
             cg,
-            cg_max_iter,
             rel_tol: 1e-10,
             abs_tol: 1e-13,
             row: None,
@@ -169,23 +133,26 @@ impl<'a> CondensedSystem<'a> {
             vecops::axpy(-c, &r.k_inv_g, x);
         }
     }
-}
 
-impl AugmentedSystem for CondensedSystem<'_> {
-    fn backend_name(&self) -> &'static str {
-        if self.direct.is_some() {
-            "direct"
-        } else {
-            "cg"
-        }
-    }
-
-    fn set_tolerances(&mut self, rel_tol: f64, abs_tol: f64) {
+    /// Sets the relative/absolute accuracy targets for subsequent
+    /// [`CondensedSystem::solve`] calls (the Eisenstat–Walker forcing
+    /// sequence changes these every iteration).
+    pub(crate) fn set_tolerances(&mut self, rel_tol: f64, abs_tol: f64) {
         self.rel_tol = rel_tol;
         self.abs_tol = abs_tol;
     }
 
-    fn prepare(&mut self, d: &[f64], row: Option<RowTerms<'_>>, obs: &mut dyn SolverObserver) {
+    /// Prepares the system for the barrier diagonal `d` and, when the
+    /// program has one, the quadratic row's terms: one numeric
+    /// refactorization on the direct path (streamed to `obs`) plus the
+    /// row's Sherman–Morrison vector `K⁻¹g`; for matrix-free CG it only
+    /// records the row.
+    pub(crate) fn prepare(
+        &mut self,
+        d: &[f64],
+        row: Option<RowTerms<'_>>,
+        obs: &mut dyn SolverObserver,
+    ) {
         let m = self.a.nrows();
         self.row = row.map(|r| PreparedRow {
             hessian: r.hessian.to_vec(),
@@ -214,13 +181,20 @@ impl AugmentedSystem for CondensedSystem<'_> {
         }
     }
 
-    fn solve(
+    /// Solves `(P + AᵀDA)·Δx = −rd − Aᵀ(g + D·rp)` into `dx`, streaming
+    /// CG telemetry to `obs` on the iterative path.
+    ///
+    /// # Errors
+    ///
+    /// [`SolveError::Numerical`] when the solve produces non-finite
+    /// values or CG detects negative curvature (`P` not PSD).
+    pub(crate) fn solve(
         &mut self,
         g: &[f64],
         d: &[f64],
         rd: &[f64],
         rp: &[f64],
-        dx: &mut Vec<f64>,
+        dx: &mut [f64],
         obs: &mut dyn SolverObserver,
     ) -> Result<CgSolve, SolveError> {
         let _span = dme_obs::span("solve");
@@ -252,7 +226,6 @@ impl AugmentedSystem for CondensedSystem<'_> {
             &self.p_diag,
             &rhs,
             dx,
-            self.cg_max_iter,
             self.rel_tol,
             self.abs_tol,
         )?;
@@ -314,8 +287,7 @@ fn direct_newton_solve(
     })
 }
 
-/// CG on `(P + AᵀDA)` with Jacobi preconditioning (shares the matrix-free
-/// structure of the ADMM x-update but with the barrier diagonal `D`).
+/// Matrix-free CG on `(P + AᵀDA)` with Jacobi preconditioning.
 struct CgScratch {
     r: Vec<f64>,
     z: Vec<f64>,
@@ -347,12 +319,10 @@ impl CgScratch {
         p_diag: &[f64],
         b: &[f64],
         x: &mut [f64],
-        max_iter: usize,
         rel_tol: f64,
         abs_tol: f64,
     ) -> Result<CgSolve, SolveError> {
         let n = b.len();
-        let trace = std::env::var_os("DME_IPM_TRACE").is_some();
         // Jacobi preconditioner: diag(P) + Σ d_i·a_ij², stored inverted so
         // the per-iteration apply is a parallel element-wise product.
         let mut inv_prec = vec![1e-12f64; n];
@@ -380,7 +350,7 @@ impl CgScratch {
         self.p.copy_from_slice(&self.z);
         let tol = (rel_tol * b_norm).min(abs_tol.max(rel_tol * b_norm * 1e-3));
         let mut iterations = 0usize;
-        for _ in 0..max_iter {
+        for _ in 0..CG_MAX_ITER {
             let r_norm = vecops::norm2(&self.r);
             if r_norm <= tol {
                 break;
@@ -415,10 +385,7 @@ impl CgScratch {
             vecops::xpby(&self.z, beta, &mut self.p);
         }
         let rel_residual = vecops::norm2(&self.r) / b_norm;
-        let capped = iterations == max_iter && vecops::norm2(&self.r) > tol;
-        if trace {
-            eprintln!("    cg: rel_res={rel_residual:.2e} (b_norm={b_norm:.2e})");
-        }
+        let capped = iterations == CG_MAX_ITER && vecops::norm2(&self.r) > tol;
         if x.iter().any(|v| !v.is_finite()) {
             return Err(SolveError::Numerical(
                 "CG produced non-finite iterate".into(),

@@ -1,81 +1,61 @@
-//! Step-length (line-search) strategies.
+//! The fraction-to-the-boundary step rule.
 
-/// Borrowed view of the per-row barrier state the line search consumes:
+/// Borrowed view of the per-row barrier state the step rule consumes:
 /// bound structure, current slacks, and one-sided multipliers.
 #[derive(Debug, Clone, Copy)]
-pub struct RowView<'a> {
+pub(crate) struct RowView<'a> {
     /// Finite-lower-bound flags per row.
-    pub has_l: &'a [bool],
+    pub(crate) has_l: &'a [bool],
     /// Finite-upper-bound flags per row.
-    pub has_u: &'a [bool],
+    pub(crate) has_u: &'a [bool],
     /// Lower bounds (after equality-gap widening).
-    pub l: &'a [f64],
+    pub(crate) l: &'a [f64],
     /// Upper bounds (after equality-gap widening).
-    pub u: &'a [f64],
+    pub(crate) u: &'a [f64],
     /// Row slacks `s`, strictly inside `[l, u]`.
-    pub s: &'a [f64],
+    pub(crate) s: &'a [f64],
     /// Lower-side multipliers `z_l > 0` (0 where no lower bound).
-    pub zl: &'a [f64],
+    pub(crate) zl: &'a [f64],
     /// Upper-side multipliers `z_u > 0`.
-    pub zu: &'a [f64],
+    pub(crate) zu: &'a [f64],
 }
 
-/// Maps a search direction to primal and dual step lengths
-/// `(α_p, α_d) ∈ (0, 1]²`.
-pub trait LineSearch {
-    /// Largest steps keeping slacks (primal) and multipliers (dual)
-    /// strictly positive, shrunk by the fraction-to-the-boundary factor
-    /// `frac` (1.0 for the affine predictor probe, the configured
-    /// `step_frac` for the actual step). Separate step lengths are the
-    /// standard Mehrotra practice: one blocked multiplier must not
-    /// freeze the primal (and vice versa).
-    fn step_lengths(
-        &self,
-        rows: &RowView<'_>,
-        ds: &[f64],
-        dzl: &[f64],
-        dzu: &[f64],
-        frac: f64,
-    ) -> (f64, f64);
-}
-
-/// The standard fraction-to-the-boundary rule.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct FractionToBoundary;
-
-impl LineSearch for FractionToBoundary {
-    fn step_lengths(
-        &self,
-        rows: &RowView<'_>,
-        ds: &[f64],
-        dzl: &[f64],
-        dzu: &[f64],
-        frac: f64,
-    ) -> (f64, f64) {
-        let mut ap = 1.0f64;
-        let mut ad = 1.0f64;
-        for i in 0..ds.len() {
-            if rows.has_l[i] {
-                let sl = rows.s[i] - rows.l[i];
-                if ds[i] < 0.0 {
-                    ap = ap.min(-sl / ds[i]);
-                }
-                if dzl[i] < 0.0 {
-                    ad = ad.min(-rows.zl[i] / dzl[i]);
-                }
+/// Step lengths `(α_p, α_d) ∈ (0, 1]²` along `(ds, dzl, dzu)`: the
+/// largest steps keeping slacks (primal) and multipliers (dual) strictly
+/// positive, shrunk by the fraction-to-the-boundary factor `frac` (1.0
+/// for the affine predictor probe, 0.995 for the step taken). Separate
+/// step lengths are the standard Mehrotra practice: one blocked
+/// multiplier must not freeze the primal (and vice versa).
+pub(crate) fn step_lengths(
+    rows: &RowView<'_>,
+    ds: &[f64],
+    dzl: &[f64],
+    dzu: &[f64],
+    frac: f64,
+) -> (f64, f64) {
+    let mut ap = 1.0f64;
+    let mut ad = 1.0f64;
+    for i in 0..ds.len() {
+        if rows.has_l[i] {
+            let sl = rows.s[i] - rows.l[i];
+            if ds[i] < 0.0 {
+                ap = ap.min(-sl / ds[i]);
             }
-            if rows.has_u[i] {
-                let su = rows.u[i] - rows.s[i];
-                if ds[i] > 0.0 {
-                    ap = ap.min(su / ds[i]);
-                }
-                if dzu[i] < 0.0 {
-                    ad = ad.min(-rows.zu[i] / dzu[i]);
-                }
+            if dzl[i] < 0.0 {
+                ad = ad.min(-rows.zl[i] / dzl[i]);
             }
         }
-        ((frac * ap).min(1.0), (frac * ad).min(1.0))
+        if rows.has_u[i] {
+            let su = rows.u[i] - rows.s[i];
+            if ds[i] > 0.0 {
+                ap = ap.min(su / ds[i]);
+            }
+            if dzu[i] < 0.0 {
+                ad = ad.min(-rows.zu[i] / dzu[i]);
+            }
+        }
     }
+    ((frac * ap).min(1.0), (frac * ad).min(1.0))
 }
 
 #[cfg(test)]
@@ -94,11 +74,11 @@ mod tests {
             zu: &[0.0],
         };
         // Slack heads for the boundary at step 0.5; the multiplier grows.
-        let (ap, ad) = FractionToBoundary.step_lengths(&rows, &[-2.0], &[1.0], &[0.0], 1.0);
+        let (ap, ad) = step_lengths(&rows, &[-2.0], &[1.0], &[0.0], 1.0);
         assert!((ap - 0.5).abs() < 1e-15);
         assert!((ad - 1.0).abs() < 1e-15);
         // The fraction-to-boundary factor shrinks both.
-        let (ap, ad) = FractionToBoundary.step_lengths(&rows, &[-2.0], &[-4.0], &[0.0], 0.995);
+        let (ap, ad) = step_lengths(&rows, &[-2.0], &[-4.0], &[0.0], 0.995);
         assert!((ap - 0.995 * 0.5).abs() < 1e-15);
         assert!((ad - 0.995 * 0.5).abs() < 1e-15);
     }

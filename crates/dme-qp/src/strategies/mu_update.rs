@@ -1,81 +1,25 @@
-//! Centering (µ-update) strategies.
+//! The centering (µ-update) rule.
 
-/// Inputs to the per-iteration centering decision.
-#[derive(Debug, Clone, Copy)]
-pub struct CenteringContext {
-    /// Average complementarity gap µ at the top of the iteration.
-    pub mu: f64,
-    /// Predicted gap after the full affine step (equal to `mu` for
-    /// strategies that skip the predictor pass).
-    pub mu_aff: f64,
-    /// Absolute dual-residual infinity norm `‖Px + q + Aᵀy‖∞`.
-    pub rd_inf: f64,
-    /// Normalizer `max(‖q‖∞, 1)` for the dual residual.
-    pub q_norm: f64,
-}
-
-/// Chooses the centering parameter σ ∈ [0, 1] each IPM iteration, and
-/// declares whether the iteration runs an affine predictor solve first.
-pub trait MuUpdate {
-    /// Whether the iteration performs the affine predictor solve (and
-    /// second-order complementarity correction) before the centered
-    /// corrector solve. When `false`, the loop does exactly one Newton
-    /// solve with the σ returned by [`MuUpdate::sigma`].
-    fn needs_predictor(&self) -> bool;
-
-    /// Centering parameter σ for the (corrector) solve. The target
-    /// complementarity products are `σ·µ`.
-    fn sigma(&self, ctx: &CenteringContext) -> f64;
-}
-
-/// Centrality safeguard shared by all centering rules: while dual
-/// infeasibility dwarfs the complementarity gap, hold the barrier up —
-/// letting µ collapse first ill-conditions every later Newton system.
-fn centrality_floor(sigma: f64, ctx: &CenteringContext) -> f64 {
-    if ctx.rd_inf > 1e2 * ctx.mu.max(1e-300) && ctx.rd_inf / ctx.q_norm > 1e-4 {
+/// Mehrotra's adaptive centering `σ = (µ_aff/µ)³` for the corrector
+/// solve, whose complementarity targets are `σ·µ`: when the affine step
+/// already shrinks the gap a lot, barely center; when it is blocked,
+/// recenter fully. `mu` is the gap at the top of the iteration, `mu_aff`
+/// the gap after the full affine step.
+///
+/// A centrality floor holds σ at 0.5 or more while the absolute dual
+/// residual `rd_inf = ‖Px + q + Aᵀy‖∞` dwarfs the gap and is not yet
+/// small against `q_norm = max(‖q‖∞, 1)`: letting µ collapse first
+/// ill-conditions every later Newton system.
+pub(crate) fn mehrotra_sigma(mu: f64, mu_aff: f64, rd_inf: f64, q_norm: f64) -> f64 {
+    let sigma = if mu > 1e-300 {
+        (mu_aff / mu).clamp(0.0, 1.0).powi(3)
+    } else {
+        0.0
+    };
+    if rd_inf > 1e2 * mu.max(1e-300) && rd_inf / q_norm > 1e-4 {
         sigma.max(0.5)
     } else {
         sigma
-    }
-}
-
-/// Mehrotra's adaptive rule `σ = (µ_aff/µ)³`: when the affine step
-/// already shrinks the gap a lot, barely center; when it is blocked,
-/// recenter aggressively.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct MehrotraCentering;
-
-impl MuUpdate for MehrotraCentering {
-    fn needs_predictor(&self) -> bool {
-        true
-    }
-
-    fn sigma(&self, ctx: &CenteringContext) -> f64 {
-        let sigma = if ctx.mu > 1e-300 {
-            (ctx.mu_aff / ctx.mu).clamp(0.0, 1.0).powi(3)
-        } else {
-            0.0
-        };
-        centrality_floor(sigma, ctx)
-    }
-}
-
-/// Classical path-following with a constant centering parameter: no
-/// predictor pass, one Newton solve per iteration aiming at `σ·µ`.
-#[derive(Debug, Clone, Copy)]
-pub struct FixedCentering {
-    /// The constant σ (the solver default is
-    /// [`crate::IpmSettings::sigma_basic`]).
-    pub sigma: f64,
-}
-
-impl MuUpdate for FixedCentering {
-    fn needs_predictor(&self) -> bool {
-        false
-    }
-
-    fn sigma(&self, ctx: &CenteringContext) -> f64 {
-        centrality_floor(self.sigma.clamp(0.0, 1.0), ctx)
     }
 }
 
@@ -83,37 +27,18 @@ impl MuUpdate for FixedCentering {
 mod tests {
     use super::*;
 
-    fn ctx(mu: f64, mu_aff: f64) -> CenteringContext {
-        CenteringContext {
-            mu,
-            mu_aff,
-            rd_inf: 0.0,
-            q_norm: 1.0,
-        }
-    }
-
     #[test]
     fn mehrotra_sigma_is_cubed_ratio() {
-        let m = MehrotraCentering;
-        assert!((m.sigma(&ctx(1.0, 0.5)) - 0.125).abs() < 1e-15);
-        assert_eq!(m.sigma(&ctx(1.0, 0.0)), 0.0);
-        assert_eq!(m.sigma(&ctx(0.0, 0.0)), 0.0);
+        assert!((mehrotra_sigma(1.0, 0.5, 0.0, 1.0) - 0.125).abs() < 1e-15);
+        assert_eq!(mehrotra_sigma(1.0, 0.0, 0.0, 1.0), 0.0);
+        assert_eq!(mehrotra_sigma(0.0, 0.0, 0.0, 1.0), 0.0);
         // A blocked affine step (µ_aff ≈ µ) recenters fully.
-        assert!((m.sigma(&ctx(1.0, 1.0)) - 1.0).abs() < 1e-15);
-    }
-
-    #[test]
-    fn fixed_sigma_is_constant_until_the_safeguard_bites() {
-        let f = FixedCentering { sigma: 0.1 };
-        assert!((f.sigma(&ctx(1.0, 1.0)) - 0.1).abs() < 1e-15);
-        // Large dual residual relative to µ floors σ at 0.5 for both rules.
-        let hot = CenteringContext {
-            mu: 1e-9,
-            mu_aff: 1e-9,
-            rd_inf: 1.0,
-            q_norm: 1.0,
-        };
-        assert!((f.sigma(&hot) - 0.5).abs() < 1e-15);
-        assert!((MehrotraCentering.sigma(&hot) - 1.0).abs() < 1e-15);
+        assert!((mehrotra_sigma(1.0, 1.0, 0.0, 1.0) - 1.0).abs() < 1e-15);
+        // A dual residual that dwarfs µ floors σ at 0.5 ...
+        assert!((mehrotra_sigma(1e-9, 1e-10, 1.0, 1.0) - 0.5).abs() < 1e-15);
+        assert!((mehrotra_sigma(1e-9, 1e-9, 1.0, 1.0) - 1.0).abs() < 1e-15);
+        // ... unless it is already small against ‖q‖.
+        let sigma = mehrotra_sigma(1e-9, 1e-10, 1e-5, 1.0);
+        assert!((sigma - 1e-3).abs() < 1e-15, "σ = {sigma}");
     }
 }

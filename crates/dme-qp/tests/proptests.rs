@@ -1,6 +1,9 @@
 //! Property-based tests for the convex solvers.
 
-use dme_qp::{CsrMatrix, IpmSettings, IpmSolver, IpmStrategy, NewtonBackend, QuadProgram};
+mod common;
+
+use common::certificate::kkt_certificate;
+use dme_qp::{CsrMatrix, IpmSettings, IpmSolver, NewtonBackend, QuadProgram};
 use proptest::prelude::*;
 
 /// Deterministic banded matrix big enough to cross the SpMV parallel
@@ -181,12 +184,11 @@ proptest! {
         }
     }
 
-    /// The Mehrotra predictor-corrector and the basic fixed-σ strategy
-    /// are different *paths* to the same optimum: both must land on the
-    /// central-path limit with first-order (KKT) agreement. Small scale.
+    /// The IPM's solution carries a KKT optimality certificate: feasible,
+    /// stationary, sign-consistent and complementary. Small scale.
     #[test]
-    fn strategies_agree_small((qp, _x0) in sized_qp_strategy(2, 6, 2, 8)) {
-        assert_strategies_agree(&qp);
+    fn ipm_is_certified_optimal_small((qp, _x0) in sized_qp_strategy(2, 6, 2, 8)) {
+        assert_certified(&qp);
     }
 
     /// Least-squares: the fitted line's residual never exceeds that of
@@ -216,37 +218,19 @@ proptest! {
     }
 }
 
-/// Solves `qp` with both iteration strategies pinned (so the
-/// `DME_QP_IPM=basic` CI leg cannot turn this into basic-vs-basic) and
-/// checks KKT-level agreement at the optimum.
-fn assert_strategies_agree(qp: &QuadProgram) {
-    let solve = |strategy: IpmStrategy| {
-        IpmSolver::new(IpmSettings {
-            strategy,
-            ..IpmSettings::default()
-        })
+/// Solves `qp` on the default settings and checks the solution against
+/// the KKT optimality certificate.
+fn assert_certified(qp: &QuadProgram) {
+    let sol = IpmSolver::new(IpmSettings::default())
         .solve(qp)
-        .expect("solve")
-    };
-    let meh = solve(IpmStrategy::Mehrotra);
-    let basic = solve(IpmStrategy::Basic);
-    prop_assert_eq!(meh.status, basic.status);
+        .expect("solve");
+    let cert = kkt_certificate(qp, &sol);
     prop_assert!(
-        qp.max_violation(&meh.x) <= 1e-6,
-        "mehrotra violation {}",
-        qp.max_violation(&meh.x)
-    );
-    prop_assert!(
-        qp.max_violation(&basic.x) <= 1e-6,
-        "basic violation {}",
-        qp.max_violation(&basic.x)
-    );
-    let scale = 1.0 + meh.objective.abs();
-    prop_assert!(
-        (meh.objective - basic.objective).abs() <= 1e-4 * scale,
-        "objectives disagree: mehrotra {} vs basic {}",
-        meh.objective,
-        basic.objective
+        cert.is_ok(),
+        "{:?} after {} iterations: {:?}",
+        sol.status,
+        sol.iterations,
+        cert
     );
 }
 
@@ -256,19 +240,106 @@ fn assert_strategies_agree(qp: &QuadProgram) {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
-    /// Strategy agreement at medium scale (direct backend territory).
+    /// The optimality certificate at medium scale (direct backend
+    /// territory).
     #[test]
-    fn strategies_agree_medium((qp, _x0) in sized_qp_strategy(15, 30, 20, 40)) {
-        assert_strategies_agree(&qp);
+    fn ipm_is_certified_optimal_medium((qp, _x0) in sized_qp_strategy(15, 30, 20, 40)) {
+        assert_certified(&qp);
     }
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
-    /// Strategy agreement at the largest proptest scale.
+    /// The optimality certificate at the largest proptest scale.
     #[test]
-    fn strategies_agree_large((qp, _x0) in sized_qp_strategy(60, 90, 80, 140)) {
-        assert_strategies_agree(&qp);
+    fn ipm_is_certified_optimal_large((qp, _x0) in sized_qp_strategy(60, 90, 80, 140)) {
+        assert_certified(&qp);
+    }
+}
+
+/// What a QPS mutation may put in place of a numeric token.
+const BAD_NUMBERS: [&str; 6] = ["nan", "inf", "-inf", "1e308", "-1e308", "%&garbage"];
+
+/// The bundled QPS fixtures' text, sorted by file name.
+fn qps_fixture_texts() -> Vec<String> {
+    let dir = concat!(env!("CARGO_MANIFEST_DIR"), "/../../tests/qps");
+    let mut paths: Vec<_> = std::fs::read_dir(dir)
+        .expect("tests/qps exists")
+        .filter_map(|e| e.ok().map(|e| e.path()))
+        .filter(|p| p.extension().is_some_and(|x| x == "qps"))
+        .collect();
+    paths.sort();
+    paths
+        .iter()
+        .map(|p| std::fs::read_to_string(p).expect("fixture reads"))
+        .collect()
+}
+
+/// Replaces one numeric token of a QPS card (lines without one stay).
+fn replace_number(line: &str, arg: usize) -> String {
+    let mut toks: Vec<&str> = line.split_whitespace().collect();
+    let numeric: Vec<usize> = (0..toks.len())
+        .filter(|&j| toks[j].parse::<f64>().is_ok())
+        .collect();
+    if numeric.is_empty() {
+        return line.to_string();
+    }
+    toks[numeric[arg % numeric.len()]] = BAD_NUMBERS[(arg / numeric.len()) % BAD_NUMBERS.len()];
+    let indent = &line[..line.len() - line.trim_start().len()];
+    format!("{indent}{}", toks.join("  "))
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// The QPS reader never panics on a mutated fixture: lines dropped,
+    /// duplicated or truncated, and numeric tokens replaced by non-finite,
+    /// huge or garbage values. Whatever it accepts has a finite `A`, `P`,
+    /// `q` and `c₀`, and bounds that are not NaN, with no `l = +∞` and
+    /// no `u = −∞`.
+    #[test]
+    fn qps_reader_survives_mutations(
+        pick in any::<usize>(),
+        edits in proptest::collection::vec((0u32..4, any::<u32>(), any::<u32>()), 1..4),
+    ) {
+        let fixtures = qps_fixture_texts();
+        let mut lines: Vec<String> =
+            fixtures[pick % fixtures.len()].lines().map(String::from).collect();
+        for (kind, at, arg) in edits {
+            if lines.is_empty() {
+                break;
+            }
+            let i = at as usize % lines.len();
+            match kind {
+                0 => {
+                    lines.remove(i);
+                }
+                1 => {
+                    let line = lines[i].clone();
+                    lines.insert(i, line);
+                }
+                2 => {
+                    let keep = arg as usize % (lines[i].chars().count() + 1);
+                    lines[i] = lines[i].chars().take(keep).collect();
+                }
+                _ => lines[i] = replace_number(&lines[i], arg as usize),
+            }
+        }
+        if let Ok(pb) = dme_qp::mps::parse_qps(&lines.join("\n")) {
+            let qp = &pb.qp;
+            for m in [&qp.a, &qp.p] {
+                for r in 0..m.nrows() {
+                    prop_assert!(m.row(r).all(|(_, v)| v.is_finite()), "row {}", r);
+                }
+            }
+            prop_assert!(qp.q.iter().all(|v| v.is_finite()));
+            prop_assert!(pb.c0.is_finite());
+            for (i, (&l, &u)) in qp.l.iter().zip(&qp.u).enumerate() {
+                prop_assert!(!l.is_nan() && !u.is_nan(), "row {}: [{}, {}]", i, l, u);
+                prop_assert!(l != f64::INFINITY && u != f64::NEG_INFINITY,
+                    "row {}: [{}, {}]", i, l, u);
+            }
+        }
     }
 }

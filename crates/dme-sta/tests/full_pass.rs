@@ -8,13 +8,21 @@
 //!
 //! Lives in its own test binary: `dme_par::set_force_serial` is
 //! process-global, and another test's parallel-dispatch assertions would
-//! race with it.
+//! race with it. For the same reason the tests here serialize on one
+//! mutex.
 
 use dme_device::Technology;
 use dme_liberty::Library;
 use dme_netlist::{gen, profiles, Design};
 use dme_placement::Placement;
 use dme_sta::{analyze, GeometryAssignment, IncrementalSta};
+use std::sync::Mutex;
+
+static LOCK: Mutex<()> = Mutex::new(());
+
+fn serial() -> std::sync::MutexGuard<'static, ()> {
+    LOCK.lock().unwrap_or_else(|e| e.into_inner())
+}
 
 /// A placed 5000-cell design with ΔL and ΔW varying smoothly over the
 /// die, quantized to 0.25 nm as a snapped dose map would be.
@@ -46,6 +54,7 @@ fn assert_bits_eq(a: &[f64], b: &[f64], what: &str) {
 
 #[test]
 fn new_on_the_pool_equals_the_serial_build() {
+    let _guard = serial();
     let (lib, d, p, doses) = mapped_design();
     if dme_par::parallel_enabled() {
         assert!(
@@ -79,6 +88,7 @@ fn new_on_the_pool_equals_the_serial_build() {
 
 #[test]
 fn analyze_on_the_pool_equals_the_serial_switch() {
+    let _guard = serial();
     let (lib, d, p, doses) = mapped_design();
     let pool = analyze(&lib, &d.netlist, &p, &doses);
     dme_par::set_force_serial(true);
@@ -121,6 +131,7 @@ fn analyze_on_the_pool_equals_the_serial_switch() {
 
 #[test]
 fn new_matches_analyze_bitwise() {
+    let _guard = serial();
     let (lib, d, p, doses) = mapped_design();
     let inc = IncrementalSta::new(&lib, &d.netlist, &p, &doses);
     let full = analyze(&lib, &d.netlist, &p, &doses);

@@ -169,24 +169,11 @@ if se:
             full["mean_ns"] / inc["mean_ns"], 2
         )
 
-# Mehrotra predictor-corrector vs basic path-following iteration counts
-# (deterministic on the direct backend — a hardware-independent perf
-# measure). The PR 9 acceptance bar is a >= 30% median reduction on both
-# program families; `below_bar` flags a miss for the QoR sentinel.
+# Mehrotra IPM iteration counts (deterministic on the direct backend —
+# a hardware-independent perf measure).
 ii = work.get("ipm_iterations")
 if ii:
-    entry = dict(ii)
-    for fam in ("dosemap", "qps"):
-        basic = ii.get(f"{fam}_basic_median", 0)
-        if basic > 0:
-            entry[f"{fam}_median_reduction_pct"] = round(
-                100.0 * (1.0 - ii[f"{fam}_mehrotra_median"] / basic), 1
-            )
-    entry["below_bar"] = any(
-        entry.get(f"{fam}_median_reduction_pct", 0.0) < 30.0
-        for fam in ("dosemap", "qps")
-    )
-    result["ipm_iterations"] = entry
+    result["ipm_iterations"] = dict(ii)
 
 dp = work.get("dosepl_run")
 if dp:

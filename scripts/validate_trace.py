@@ -246,26 +246,14 @@ def check_solver_consistency(path, m):
     if caps is not None and caps > (c("qp/cg_solves") or 0):
         fail(f"{path}: qp/cg_cap_hits ({caps}) > qp/cg_solves ({c('qp/cg_solves')})")
 
-    # Every observed IPM solve reports its iteration strategy exactly
-    # once, so the strategy tallies match the per-solve backend tallies.
-    strategies = [c(k) for k in ("qp/strategy_mehrotra", "qp/strategy_basic")]
-    if any(v is not None for v in strategies):
-        strategy_total = sum(v or 0 for v in strategies)
-        backend_total = (c("qp/backend_direct") or 0) + (c("qp/backend_cg") or 0)
-        if backend_total and strategy_total != backend_total:
-            fail(
-                f"{path}: strategy counters ({strategy_total}) != "
-                f"observed IPM solves ({backend_total})"
-            )
-
     # Per-iteration rows carry the full predictor/corrector tuple: the
-    # affine probe's mu_aff rides along with mu (equal when the basic
-    # strategy ran no predictor pass), sigma is a centering fraction and
-    # alpha a step length, both in [0, 1].
+    # affine probe's mu_aff rides along with mu, the absolute residuals
+    # with the relative ones the exit tests compare, sigma is a centering
+    # fraction and alpha a step length, both in [0, 1].
     iter_rows = m.get("records", {}).get("ipm_iter", {}).get("rows", [])
     for i, row in enumerate(iter_rows):
         for field in (
-            "iter", "mu", "mu_aff", "rp_inf", "rd_inf",
+            "iter", "mu", "mu_aff", "rp_inf", "rd_inf", "rp_rel", "rd_rel",
             "sigma", "alpha", "cg_pred", "cg_corr",
         ):
             if not isinstance(row.get(field), (int, float)):
