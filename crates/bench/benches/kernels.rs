@@ -124,6 +124,49 @@ fn bench_dmopt_end_to_end(c: &mut Criterion) {
     group.finish();
 }
 
+/// A deterministic barrier diagonal for `m` rows, spread over eight
+/// decades as late interior-point iterations spread it.
+fn barrier_diagonal(m: usize) -> Vec<f64> {
+    (0..m)
+        .map(|i| 10f64.powf(((i as f64 * 0.618_034).fract() - 0.5) * 8.0))
+        .collect()
+}
+
+/// `perf/newton_operator_{tag}`: one matrix-free product `(P + AᵀDA)·x`
+/// on `qp`'s matrices, the kernel of every Jacobi-CG iteration.
+fn bench_newton_operator(
+    group: &mut criterion::BenchmarkGroup<'_>,
+    tag: &str,
+    qp: &dme_qp::QuadProgram,
+) {
+    let d = barrier_diagonal(qp.a.nrows());
+    let mut op = dme_qp::kernels::NewtonOperator::new(&qp.p, &qp.a, &d);
+    let x: Vec<f64> = (0..qp.p.ncols()).map(|i| (i as f64 * 0.37).sin()).collect();
+    op.set_x(&x);
+    group.bench_function(format!("newton_operator_{tag}").as_str(), |b| {
+        b.iter(|| op.apply()[0])
+    });
+}
+
+/// The Newton operator and, where the symbolic phase admits it, one
+/// numeric refactorization of the direct backend's LDLᵀ
+/// (`perf/refactor_{tag}`) on `qp`.
+fn bench_newton_kernels(
+    group: &mut criterion::BenchmarkGroup<'_>,
+    tag: &str,
+    qp: &dme_qp::QuadProgram,
+) {
+    bench_newton_operator(group, tag, qp);
+    let Some(mut f) = dme_qp::kernels::Refactorization::new(&qp.p, &qp.a) else {
+        return;
+    };
+    let d = barrier_diagonal(qp.a.nrows());
+    group.bench_function(format!("refactor_{tag}").as_str(), |b| {
+        b.iter(|| f.factor(&qp.p, &qp.a, &d))
+    });
+    println!("WORKLINE refactor_{tag} nnz_l={}", f.nnz_l());
+}
+
 /// Banded CSR large enough to cross the SpMV parallel cutoff, with
 /// deterministic pseudorandom values.
 fn banded_csr(rows: usize, cols: usize, band: usize) -> CsrMatrix {
@@ -654,6 +697,7 @@ fn bench_perf(c: &mut Criterion) {
         group.bench_function(format!("symbolic_{tag}").as_str(), |b| {
             b.iter(|| IpmSolver::new(IpmSettings::default()).resolve_backend(&qp));
         });
+        bench_newton_kernels(&mut group, tag, &qp);
         let mut obs = Decision::default();
         IpmSolver::new(IpmSettings {
             max_iter: 1,
@@ -677,6 +721,17 @@ fn bench_perf(c: &mut Criterion) {
             d.ordering_ns / 1000
         );
     }
+    // The Newton operator at the size of the paper's AES-65 program (its
+    // numeric factor, 23 GFlop, is out of reach of a per-sample bench).
+    let aes = Testbench::prepare(&profiles::aes65());
+    let actx = OptContext::new(&aes.lib, &aes.design, &aes.placement);
+    let agrid = DoseGrid::with_granularity(
+        aes.placement.die_w_um,
+        aes.placement.die_h_um,
+        qcp_cfg.grid_g_um,
+    );
+    let aqp = Formulation::build(&actx, &agrid, &formulation_params(&actx, &qcp_cfg)).qp;
+    bench_newton_operator(&mut group, "aes65", &aqp);
     group.finish();
 
     // dosePl end-to-end work counters on a real run (not timed; the

@@ -117,6 +117,91 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
     })
 }
 
+/// Options every subcommand accepts: the observability switches and the
+/// live snapshot publisher.
+const OBS_KEYS: &[&str] = &[
+    "trace",
+    "trace-json",
+    "report",
+    "verbose",
+    "snapshot",
+    "snapshot-ms",
+];
+
+/// The design inputs of the run commands ([`load_bench`]).
+const BENCH_KEYS: &[&str] = &["profile", "scale", "verilog-in", "def-in", "tech"];
+
+/// The options one subcommand (and, for `qor` and `prof`, its verb)
+/// reads besides [`OBS_KEYS`]; `None` for an unknown subcommand or verb,
+/// which the command itself reports.
+fn command_keys(args: &Args) -> Option<Vec<&'static str>> {
+    let verb = args.positionals.first().map(String::as_str);
+    let own: &[&str] = match (args.command.as_str(), verb) {
+        ("generate", _) => &["verilog", "def", "lib"],
+        ("analyze", _) => &["dosemap", "sdf"],
+        ("optimize", _) => &[
+            "grid",
+            "objective",
+            "xi-uw",
+            "layers",
+            "prune",
+            "hold-margin-ns",
+            "dosemap-out",
+        ],
+        ("flow", _) => &["grid", "layers", "prune", "hold-margin-ns", "top-k"],
+        ("watch", _) => &["interval-ms", "once"],
+        ("obs", _) => &[],
+        ("qp", _) => &["backend"],
+        ("qor", Some("ingest")) => &["history", "git-sha", "ts"],
+        ("qor", Some("diff")) => &[
+            "window",
+            "k-mad",
+            "min-rel",
+            "time-min-rel",
+            "md",
+            "informational",
+        ],
+        ("qor", Some("report")) => &["history", "manifest", "bench-history", "out", "md"],
+        ("prof", Some("report")) => &["flame"],
+        ("prof", Some("diff")) => &[
+            "window",
+            "k-mad",
+            "time-min-rel",
+            "min-abs-us",
+            "md",
+            "informational",
+        ],
+        _ => return None,
+    };
+    let bench: &[&str] = match args.command.as_str() {
+        "generate" | "analyze" | "optimize" | "flow" => BENCH_KEYS,
+        _ => &[],
+    };
+    Some([OBS_KEYS, bench, own].concat())
+}
+
+/// Rejects any `--key` the subcommand does not read, so a misspelled or
+/// retired option fails instead of running on the defaults.
+fn check_keys(args: &Args) -> Result<(), String> {
+    let Some(known) = command_keys(args) else {
+        return Ok(());
+    };
+    // The first unknown key in sorted order, so the message is stable.
+    let Some(key) = args
+        .opts
+        .keys()
+        .filter(|k| !known.contains(&k.as_str()))
+        .min()
+    else {
+        return Ok(());
+    };
+    let command = match (args.command.as_str(), args.positionals.first()) {
+        (c @ ("qor" | "prof"), Some(verb)) => format!("{c}` {verb}"),
+        (c, _) => format!("{c}`"),
+    };
+    Err(format!("unknown option --{key} for `{command}"))
+}
+
 /// Applies the observability options (see the module docs) and stamps
 /// run metadata into the manifest. Call once, right after arg parsing.
 /// Returns the live snapshot publisher when one was requested (via
@@ -1016,7 +1101,7 @@ const USAGE: &str = "usage: dmeopt <generate|analyze|optimize|flow|watch|obs|qp|
 
 fn main() -> ExitCode {
     let argv: Vec<String> = std::env::args().skip(1).collect();
-    let args = match parse_args(&argv) {
+    let args = match parse_args(&argv).and_then(|a| check_keys(&a).map(|()| a)) {
         Ok(a) => a,
         Err(e) => {
             eprintln!("error: {e}\n{USAGE}");
@@ -1166,6 +1251,179 @@ mod tests {
         assert!(cmd_qp(&args(&["qp", "solve"])).is_err());
         assert!(cmd_qp(&args(&["qp", "solve", "a.qps", "b.qps"])).is_err());
         assert!(qp_settings(&args(&["qp", "solve", "a.qps", "--backend", "gpu"])).is_err());
+    }
+
+    #[test]
+    fn unknown_options_are_rejected_by_name() {
+        let err = |v: &[&str]| check_keys(&args(v)).expect_err("an unknown option");
+        let e = err(&["qp", "solve", "tests/qps/hs35.qps", "--strategy", "basic"]);
+        assert!(e.contains("--strategy") && e.contains("`qp`"), "{e}");
+        let e = err(&["qp", "suite", "tests/qps", "--backnd", "cg"]);
+        assert!(e.contains("--backnd"), "{e}");
+        let e = err(&["flow", "--profile", "tiny", "--grdi", "5"]);
+        assert!(e.contains("--grdi"), "{e}");
+        // `flow` always runs the QCP, so it takes no objective.
+        assert!(
+            err(&["flow", "--profile", "tiny", "--objective", "leakage"]).contains("--objective")
+        );
+        // Options belong to their verb.
+        let e = err(&["qor", "ingest", "run.json", "--window", "3"]);
+        assert!(e.contains("--window") && e.contains("`qor` ingest"), "{e}");
+        assert!(err(&["prof", "report", "run.json", "--md", "x.md"]).contains("--md"));
+        assert!(err(&["obs", "ls", "--profile", "tiny"]).contains("--profile"));
+    }
+
+    #[test]
+    fn every_documented_option_is_accepted() {
+        let ok = |v: &[&str]| {
+            check_keys(&args(v)).unwrap_or_else(|e| panic!("{v:?}: {e}"));
+        };
+        ok(&[
+            "qp",
+            "suite",
+            "tests/qps",
+            "--backend",
+            "cg",
+            "--report",
+            "r.json",
+        ]);
+        ok(&[
+            "qp",
+            "solve",
+            "a.qps",
+            "--trace-json",
+            "t.jsonl",
+            "--verbose",
+            "--trace",
+        ]);
+        ok(&[
+            "generate",
+            "--profile",
+            "tiny",
+            "--scale",
+            "0.5",
+            "--verilog",
+            "o.v",
+            "--def",
+            "o.def",
+            "--lib",
+            "o.lib",
+        ]);
+        ok(&[
+            "analyze",
+            "--verilog-in",
+            "d.v",
+            "--def-in",
+            "d.def",
+            "--tech",
+            "90",
+            "--dosemap",
+            "m.csv",
+            "--sdf",
+            "o.sdf",
+        ]);
+        ok(&[
+            "optimize",
+            "--profile",
+            "tiny",
+            "--objective",
+            "timing",
+            "--xi-uw",
+            "0",
+            "--grid",
+            "5",
+            "--layers",
+            "both",
+            "--prune",
+            "--hold-margin-ns",
+            "0.01",
+            "--dosemap-out",
+            "m.csv",
+        ]);
+        ok(&[
+            "flow",
+            "--profile",
+            "tiny",
+            "--grid",
+            "5",
+            "--top-k",
+            "200",
+            "--layers",
+            "poly",
+            "--prune",
+            "--hold-margin-ns",
+            "0",
+            "--snapshot",
+            "s.json",
+            "--snapshot-ms",
+            "100",
+        ]);
+        ok(&["watch", "s.json", "--interval-ms", "50", "--once"]);
+        ok(&[
+            "qor",
+            "ingest",
+            "r.json",
+            "--history",
+            "h.jsonl",
+            "--git-sha",
+            "abc",
+            "--ts",
+            "1",
+        ]);
+        ok(&[
+            "qor",
+            "diff",
+            "r",
+            "b",
+            "--window",
+            "9",
+            "--k-mad",
+            "2",
+            "--min-rel",
+            "0.1",
+            "--time-min-rel",
+            "0.4",
+            "--md",
+            "o.md",
+            "--informational",
+        ]);
+        ok(&[
+            "qor",
+            "report",
+            "--history",
+            "h",
+            "--manifest",
+            "m",
+            "--bench-history",
+            "b",
+            "--snapshot",
+            "s",
+            "--out",
+            "o.html",
+            "--md",
+            "o.md",
+        ]);
+        ok(&["prof", "report", "r.json", "--flame", "f.svg"]);
+        ok(&[
+            "prof",
+            "diff",
+            "r",
+            "b",
+            "--window",
+            "7",
+            "--k-mad",
+            "4",
+            "--time-min-rel",
+            "0.5",
+            "--min-abs-us",
+            "100",
+            "--md",
+            "o.md",
+            "--informational",
+        ]);
+        // An unknown subcommand or verb is the command's own error.
+        ok(&["frobnicate", "--anything"]);
+        ok(&["qor", "frobnicate", "--anything"]);
     }
 
     #[test]

@@ -192,16 +192,23 @@ impl<'a> Cursor<'a> {
     }
 }
 
+/// Parses one finite number; `nan`, `inf` and garbage are
+/// [`ParseLibError::Number`] at `line`.
+fn finite(line: usize, t: &str) -> Result<f64, ParseLibError> {
+    t.parse::<f64>()
+        .ok()
+        .filter(|v| v.is_finite())
+        .ok_or_else(|| ParseLibError::Number {
+            line,
+            token: t.to_string(),
+        })
+}
+
 fn parse_floats(line: usize, s: &str) -> Result<Vec<f64>, ParseLibError> {
     s.split(',')
         .map(str::trim)
         .filter(|t| !t.is_empty())
-        .map(|t| {
-            t.parse::<f64>().map_err(|_| ParseLibError::Number {
-                line,
-                token: t.to_string(),
-            })
-        })
+        .map(|t| finite(line, t))
         .collect()
 }
 
@@ -232,35 +239,39 @@ fn scalar_after_colon(line: usize, s: &str) -> Result<f64, ParseLibError> {
         .trim()
         .trim_end_matches(';')
         .trim();
-    v.parse::<f64>().map_err(|_| ParseLibError::Number {
-        line,
-        token: v.to_string(),
-    })
+    finite(line, v)
 }
 
 fn parse_table(cur: &mut Cursor<'_>, axes: &TableAxes) -> Result<Table2d, ParseLibError> {
     // Header line already consumed by the caller; read `values` rows until
     // the closing brace.
     let mut rows: Vec<Vec<f64>> = Vec::new();
+    let shape_error = |line: usize, what: String| ParseLibError::Syntax {
+        line,
+        message: format!(
+            "{what}; the template is {}x{}",
+            axes.slew_ns.len(),
+            axes.load_ff.len()
+        ),
+    };
     loop {
         let (line, l) = cur.next()?;
         if l.starts_with('}') {
+            if rows.len() != axes.slew_ns.len() {
+                return Err(shape_error(line, format!("table has {} rows", rows.len())));
+            }
             break;
         }
-        if let Some(start) = l.find('"') {
-            let end = l.rfind('"').unwrap_or(start);
-            rows.push(parse_floats(line, &l[start + 1..end])?);
+        if l.contains('"') {
+            let row = parse_floats(line, quoted(line, l)?)?;
+            if row.len() != axes.load_ff.len() || rows.len() == axes.slew_ns.len() {
+                return Err(shape_error(
+                    line,
+                    format!("table row {} has {} values", rows.len() + 1, row.len()),
+                ));
+            }
+            rows.push(row);
         }
-    }
-    if rows.len() != axes.slew_ns.len() || rows.iter().any(|r| r.len() != axes.load_ff.len()) {
-        return Err(ParseLibError::Syntax {
-            line: 0,
-            message: format!(
-                "table shape {}x{:?} does not match the template",
-                rows.len(),
-                rows.first().map(|r| r.len())
-            ),
-        });
     }
     let mut it = rows.into_iter().flatten();
     Ok(Table2d::tabulate(&axes.slew_ns, &axes.load_ff, |_, _| {
@@ -449,6 +460,102 @@ mod tests {
             parse_library(bad),
             Err(ParseLibError::Syntax { .. })
         ));
+    }
+
+    /// `text` with the first line holding `from` rewritten by `edit`.
+    fn edit_line(text: &str, from: &str, edit: impl Fn(&str) -> String) -> (String, usize) {
+        let at = text
+            .lines()
+            .position(|l| l.contains(from))
+            .expect("line present");
+        let out: Vec<String> = text
+            .lines()
+            .enumerate()
+            .map(|(i, l)| if i == at { edit(l) } else { l.to_string() })
+            .collect();
+        (out.join("\n"), at + 1)
+    }
+
+    #[test]
+    fn malformed_tables_are_errors_at_their_line() {
+        let lib = Library::standard(Technology::n65());
+        let text = write_library(&lib, 0.0, 0.0);
+        // A `values` row that lost its closing quote.
+        let (cut, line) = edit_line(&text, "values (\"", |l| {
+            let end = l.rfind('"').expect("quoted");
+            l[..end].to_string()
+        });
+        match parse_library(&cut) {
+            Err(ParseLibError::Syntax { line: at, message }) => {
+                assert_eq!(at, line);
+                assert!(message.contains("unterminated"), "{message}");
+            }
+            other => panic!("expected a syntax error, got {other:?}"),
+        }
+        // A row with one value too few.
+        let (short, line) = edit_line(&text, "values (\"", |l| {
+            let quote = l.rfind('"').expect("quoted");
+            let comma = l[..quote].rfind(',').expect("several values");
+            format!("{}\"), \\", &l[..comma])
+        });
+        assert!(
+            matches!(parse_library(&short), Err(ParseLibError::Syntax { line: at, .. }) if at == line),
+            "{:?}",
+            parse_library(&short)
+        );
+        // A table with one row missing: the error is at its closing brace.
+        let at = text
+            .lines()
+            .position(|l| l.contains("values (\""))
+            .expect("a table");
+        let dropped: Vec<&str> = text
+            .lines()
+            .enumerate()
+            .filter(|&(i, _)| i != at + 1)
+            .map(|(_, l)| l)
+            .collect();
+        let brace = text
+            .lines()
+            .skip(at)
+            .position(|l| l.trim().starts_with('}'))
+            .expect("close")
+            + at;
+        assert!(
+            matches!(parse_library(&dropped.join("\n")), Err(ParseLibError::Syntax { line: l, .. }) if l == brace),
+            "{:?}",
+            parse_library(&dropped.join("\n"))
+        );
+    }
+
+    #[test]
+    fn non_finite_values_are_rejected() {
+        let lib = Library::standard(Technology::n65());
+        let text = write_library(&lib, 0.0, 0.0);
+        for (key, bad) in [
+            ("values (\"", "nan"),
+            ("values (\"", "inf"),
+            ("cell_leakage_power", "NaN"),
+            ("area", "-inf"),
+            ("index_1", "infinity"),
+        ] {
+            let (edited, line) = edit_line(&text, key, |l| {
+                let value = l.find(['"', ':']).expect("a value");
+                let start = value
+                    + l[value..]
+                        .find(|c: char| c.is_ascii_digit())
+                        .expect("a number");
+                let end = l[start..]
+                    .find(|c: char| !(c.is_ascii_digit() || c == '.' || c == 'e' || c == '-'))
+                    .map_or(l.len(), |e| start + e);
+                format!("{}{bad}{}", &l[..start], &l[end..])
+            });
+            match parse_library(&edited) {
+                Err(ParseLibError::Number { line: at, token }) => {
+                    assert_eq!((at, token.as_str()), (line, bad), "{key}");
+                }
+                other => panic!("{key} = {bad}: expected a number error, got {other:?}"),
+            }
+        }
     }
 
     #[test]

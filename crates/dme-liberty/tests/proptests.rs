@@ -72,3 +72,90 @@ proptest! {
         prop_assert!((tables.delay_fall.lookup(s, c) - direct.1).abs() < 1e-12);
     }
 }
+
+/// What a Liberty mutation may put in place of a number.
+const BAD_NUMBERS: [&str; 6] = ["nan", "inf", "-inf", "NaN", "infinity", "%&garbage"];
+
+/// Replaces one number of a Liberty line (lines without one stay).
+fn replace_number(line: &str, arg: usize) -> String {
+    let is_num = |c: char| c.is_ascii_digit() || matches!(c, '.' | '-' | '+' | 'e');
+    let mut spans = Vec::new();
+    let mut start = None;
+    for (i, c) in line
+        .char_indices()
+        .chain(std::iter::once((line.len(), ' ')))
+    {
+        match (start, is_num(c)) {
+            (None, true) => start = Some(i),
+            (Some(s), false) => {
+                if line[s..i].parse::<f64>().is_ok() {
+                    spans.push(s..i);
+                }
+                start = None;
+            }
+            _ => {}
+        }
+    }
+    if spans.is_empty() {
+        return line.to_string();
+    }
+    let span = spans[arg % spans.len()].clone();
+    let bad = BAD_NUMBERS[(arg / spans.len()) % BAD_NUMBERS.len()];
+    format!("{}{bad}{}", &line[..span.start], &line[span.end..])
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// The Liberty reader never panics on a mutated library: lines
+    /// dropped, duplicated or truncated (quotes included), and numbers
+    /// replaced by non-finite or garbage values. Whatever it accepts has
+    /// finite axes, scalars and table entries, each table the template's
+    /// shape.
+    #[test]
+    fn liberty_reader_survives_mutations(
+        edits in proptest::collection::vec((0u32..4, any::<u32>(), any::<u32>()), 1..4),
+    ) {
+        let lib = Library::standard(Technology::n65());
+        let text = dme_liberty::io::write_library(&lib, -2.0, 1.0);
+        let mut lines: Vec<String> = text.lines().map(String::from).collect();
+        for (kind, at, arg) in edits {
+            if lines.is_empty() {
+                break;
+            }
+            let i = at as usize % lines.len();
+            match kind {
+                0 => {
+                    lines.remove(i);
+                }
+                1 => {
+                    let line = lines[i].clone();
+                    lines.insert(i, line);
+                }
+                2 => {
+                    let keep = arg as usize % (lines[i].chars().count() + 1);
+                    lines[i] = lines[i].chars().take(keep).collect();
+                }
+                _ => lines[i] = replace_number(&lines[i], arg as usize),
+            }
+        }
+        if let Ok(parsed) = dme_liberty::io::parse_library(&lines.join("\n")) {
+            let (slew, load) = (&parsed.axes.slew_ns, &parsed.axes.load_ff);
+            prop_assert!(slew.iter().chain(load).all(|v| v.is_finite()), "axes");
+            for cell in parsed.cells.values() {
+                prop_assert!(
+                    [cell.area_um2, cell.leakage_nw, cell.input_cap_ff].iter().all(|v| v.is_finite()),
+                    "{} scalars", cell.name
+                );
+                let t = &cell.tables;
+                for table in [&t.delay_rise, &t.delay_fall, &t.slew_rise, &t.slew_fall] {
+                    for si in 0..slew.len() {
+                        for li in 0..load.len() {
+                            prop_assert!(table.at(si, li).is_finite(), "{} ({}, {})", cell.name, si, li);
+                        }
+                    }
+                }
+            }
+        }
+    }
+}

@@ -357,6 +357,19 @@ pub fn par_reduce_sum(
     partials.iter().sum()
 }
 
+/// Serializes the unit tests that flip or read the process-global serial
+/// switch, so one test's `set_force_serial(true)` never lands inside
+/// another's check.
+#[cfg(test)]
+static SWITCH_LOCK: Mutex<()> = Mutex::new(());
+
+#[cfg(test)]
+fn lock_switch() -> std::sync::MutexGuard<'static, ()> {
+    SWITCH_LOCK
+        .lock()
+        .unwrap_or_else(std::sync::PoisonError::into_inner)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -389,6 +402,7 @@ mod tests {
 
     #[test]
     fn reduce_sum_is_thread_count_independent() {
+        let _switch = lock_switch();
         let n = 250_000;
         let xs: Vec<f64> = (0..n).map(|i| (i as f64 * 0.37).sin()).collect();
         let par = par_reduce_sum(n, VEC_GRAIN, |r| xs[r].iter().sum());
@@ -418,6 +432,7 @@ mod tests {
 
     #[test]
     fn one_thread_dispatch_is_inline_serial() {
+        let _switch = lock_switch();
         // With the serial switch on, a "parallel" run must execute every
         // task inline on the calling thread in index order — exactly the
         // dispatch a width-1 pool gets. This pins the contract that
@@ -438,6 +453,7 @@ mod tests {
 
     #[test]
     fn effective_parallelism_reflects_context() {
+        let _switch = lock_switch();
         assert_eq!(effective_parallelism(), num_threads());
         set_force_serial(true);
         assert_eq!(effective_parallelism(), 1);

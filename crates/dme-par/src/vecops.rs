@@ -5,7 +5,7 @@
 //! combined in chunk order. The serial and parallel paths therefore
 //! produce **bitwise identical** results for any thread count — the only
 //! thing parallelism changes is which thread evaluates which chunk.
-//! Element-wise kernels (axpy, scale, …) are trivially deterministic.
+//! The element-wise [`axpy`] is trivially deterministic.
 //!
 //! All kernels fall back to a plain serial loop below
 //! [`VEC_PAR_CUTOFF`] elements, where fork-join overhead would dominate.
@@ -13,9 +13,53 @@
 use crate::{
     par_chunks_mut, par_fill, par_reduce_sum, would_parallelize, VEC_GRAIN, VEC_PAR_CUTOFF,
 };
+use std::ops::Range;
+
+/// The value `<f64 as Sum>` starts from (`-0.0`, the additive identity
+/// that keeps a sum of negative zeros negative). A fused kernel that
+/// reproduces a reduction here starts each chunk's sum from it.
+pub const SUM_IDENTITY: f64 = -0.0;
 
 fn chunk_dot(a: &[f64], b: &[f64]) -> f64 {
     a.iter().zip(b).map(|(x, y)| x * y).sum()
+}
+
+/// Sums `K` reductions over the [`VEC_GRAIN`] chunks of `0..len`
+/// serially, in exactly the order [`par_reduce_sum`] sums one: `f`
+/// returns each chunk's partial sums (each accumulated in index order
+/// from [`SUM_IDENTITY`]), and the partials are added in chunk order. A
+/// single chunk's partials are the result as they are; an empty range
+/// sums to `+0.0`.
+///
+/// Kernels that fuse several reductions into one pass over their vectors
+/// call this, so their sums are bitwise those of the separate [`dot`]
+/// and [`norm_sq`] calls they replace.
+pub fn chunked_sums<const K: usize>(
+    len: usize,
+    mut f: impl FnMut(Range<usize>) -> [f64; K],
+) -> [f64; K] {
+    if len <= VEC_GRAIN {
+        return if len == 0 { [0.0; K] } else { f(0..len) };
+    }
+    let mut total = [SUM_IDENTITY; K];
+    for start in (0..len).step_by(VEC_GRAIN) {
+        let part = f(start..(start + VEC_GRAIN).min(len));
+        for (t, p) in total.iter_mut().zip(part) {
+            *t += p;
+        }
+    }
+    total
+}
+
+/// `par_reduce_sum` over the [`VEC_GRAIN`] chunks at or above
+/// [`VEC_PAR_CUTOFF`] elements, the same chunks summed serially below it
+/// (where a fork-join costs more than it saves): the bits are the same.
+fn reduce_sum(len: usize, f: impl Fn(Range<usize>) -> f64 + Sync) -> f64 {
+    if would_parallelize(len, VEC_PAR_CUTOFF) {
+        par_reduce_sum(len, VEC_GRAIN, f)
+    } else {
+        chunked_sums(len, |r| [f(r)])[0]
+    }
 }
 
 /// Dot product `aᵀb` with a fixed chunked reduction order.
@@ -24,12 +68,12 @@ fn chunk_dot(a: &[f64], b: &[f64]) -> f64 {
 /// Panics if the lengths differ.
 pub fn dot(a: &[f64], b: &[f64]) -> f64 {
     assert_eq!(a.len(), b.len(), "dot: length mismatch");
-    par_reduce_sum(a.len(), VEC_GRAIN, |r| chunk_dot(&a[r.clone()], &b[r]))
+    reduce_sum(a.len(), |r| chunk_dot(&a[r.clone()], &b[r]))
 }
 
 /// Squared Euclidean norm `‖v‖²` with a fixed chunked reduction order.
 pub fn norm_sq(v: &[f64]) -> f64 {
-    par_reduce_sum(v.len(), VEC_GRAIN, |r| chunk_dot(&v[r.clone()], &v[r]))
+    reduce_sum(v.len(), |r| chunk_dot(&v[r.clone()], &v[r]))
 }
 
 /// Euclidean norm `‖v‖`.
@@ -72,116 +116,111 @@ pub fn axpy(alpha: f64, x: &[f64], y: &mut [f64]) {
     });
 }
 
-/// `x ← x + alpha·p; r ← r + beta·q` — the fused CG update (one parallel
-/// region instead of two).
-///
-/// # Panics
-/// Panics if any length differs from `x.len()`.
-pub fn cg_update(x: &mut [f64], alpha: f64, p: &[f64], r: &mut [f64], beta: f64, q: &[f64]) {
-    let n = x.len();
-    assert!(
-        p.len() == n && r.len() == n && q.len() == n,
-        "cg_update: length mismatch"
-    );
-    if !would_parallelize(n, VEC_PAR_CUTOFF) {
-        for i in 0..n {
-            x[i] += alpha * p[i];
-            r[i] += beta * q[i];
-        }
-        return;
-    }
-    // Two disjoint mutable buffers: update each in its own pass (still a
-    // single fork for x; r follows). Keeping the passes separate avoids
-    // aliasing gymnastics and the second pass reuses warm workers.
-    par_chunks_mut(x, VEC_GRAIN, |start, chunk| {
-        for (k, xi) in chunk.iter_mut().enumerate() {
-            *xi += alpha * p[start + k];
-        }
-    });
-    par_chunks_mut(r, VEC_GRAIN, |start, chunk| {
-        for (k, ri) in chunk.iter_mut().enumerate() {
-            *ri += beta * q[start + k];
-        }
-    });
-}
-
-/// `p ← r + beta·p`, the CG direction update.
-///
-/// # Panics
-/// Panics if the lengths differ.
-pub fn xpby(r: &[f64], beta: f64, p: &mut [f64]) {
-    assert_eq!(r.len(), p.len(), "xpby: length mismatch");
-    if !would_parallelize(p.len(), VEC_PAR_CUTOFF) {
-        for (pi, ri) in p.iter_mut().zip(r) {
-            *pi = ri + beta * *pi;
-        }
-        return;
-    }
-    par_chunks_mut(p, VEC_GRAIN, |start, chunk| {
-        for (k, pi) in chunk.iter_mut().enumerate() {
-            *pi = r[start + k] + beta * *pi;
-        }
-    });
-}
-
-/// `v ← d ⊙ v` (element-wise scaling in place).
-///
-/// # Panics
-/// Panics if the lengths differ.
-pub fn mul_assign(d: &[f64], v: &mut [f64]) {
-    assert_eq!(d.len(), v.len(), "mul_assign: length mismatch");
-    if !would_parallelize(v.len(), VEC_PAR_CUTOFF) {
-        for (vi, di) in v.iter_mut().zip(d) {
-            *vi *= di;
-        }
-        return;
-    }
-    par_chunks_mut(v, VEC_GRAIN, |start, chunk| {
-        for (k, vi) in chunk.iter_mut().enumerate() {
-            *vi *= d[start + k];
-        }
-    });
-}
-
-/// `z ← d ⊙ r` (element-wise product; Jacobi preconditioner apply).
-///
-/// # Panics
-/// Panics if any length differs from `z.len()`.
-pub fn hadamard(d: &[f64], r: &[f64], z: &mut [f64]) {
-    let n = z.len();
-    assert!(d.len() == n && r.len() == n, "hadamard: length mismatch");
-    if !would_parallelize(n, VEC_PAR_CUTOFF) {
-        for i in 0..n {
-            z[i] = d[i] * r[i];
-        }
-        return;
-    }
-    par_chunks_mut(z, VEC_GRAIN, |start, chunk| {
-        for (k, zi) in chunk.iter_mut().enumerate() {
-            *zi = d[start + k] * r[start + k];
-        }
-    });
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::set_force_serial;
+    use crate::{lock_switch, set_force_serial};
 
     fn vec_of(n: usize, f: impl Fn(usize) -> f64) -> Vec<f64> {
         (0..n).map(f).collect()
     }
 
+    /// Lengths on both sides of one chunk and of the parallel cutoff.
+    const EDGE_LENGTHS: [usize; 12] = [
+        0,
+        1,
+        VEC_GRAIN - 1,
+        VEC_GRAIN,
+        VEC_GRAIN + 1,
+        2 * VEC_GRAIN + 5,
+        VEC_PAR_CUTOFF - 1,
+        VEC_PAR_CUTOFF,
+        VEC_PAR_CUTOFF + 1,
+        VEC_PAR_CUTOFF + VEC_GRAIN / 2,
+        2 * VEC_PAR_CUTOFF,
+        3 * VEC_PAR_CUTOFF + 17,
+    ];
+
+    /// Vector pairs whose chunks sum to ordinary values, to `-0.0` (every
+    /// product a negative zero) and to `+0.0`.
+    fn pairs(n: usize) -> Vec<(Vec<f64>, Vec<f64>)> {
+        vec![
+            (
+                vec_of(n, |i| (i as f64 * 0.123).sin()),
+                vec_of(n, |i| (i as f64 * 0.456).cos()),
+            ),
+            (vec_of(n, |_| -0.0), vec_of(n, |_| 1.0)),
+            (
+                vec_of(n, |i| {
+                    if (i / VEC_GRAIN).is_multiple_of(2) {
+                        -0.0
+                    } else {
+                        0.0
+                    }
+                }),
+                vec_of(n, |i| 1.0 + i as f64),
+            ),
+        ]
+    }
+
+    #[test]
+    fn sum_identity_is_the_std_sum_start() {
+        let empty: f64 = std::iter::empty::<f64>().sum();
+        assert_eq!(empty.to_bits(), SUM_IDENTITY.to_bits());
+    }
+
     #[test]
     fn dot_matches_serial_bitwise() {
-        let n = 3 * VEC_PAR_CUTOFF + 17;
-        let a = vec_of(n, |i| (i as f64 * 0.123).sin());
-        let b = vec_of(n, |i| (i as f64 * 0.456).cos());
-        let par = dot(&a, &b);
-        set_force_serial(true);
-        let ser = dot(&a, &b);
-        set_force_serial(false);
-        assert_eq!(par.to_bits(), ser.to_bits());
+        let _switch = lock_switch();
+        for n in EDGE_LENGTHS {
+            for (a, b) in pairs(n) {
+                let par = (dot(&a, &b), norm_sq(&a));
+                // The reduction as it was defined before the cutoff: the
+                // pool's chunked sum at every length.
+                let pooled = (
+                    par_reduce_sum(n, VEC_GRAIN, |r| chunk_dot(&a[r.clone()], &b[r])),
+                    par_reduce_sum(n, VEC_GRAIN, |r| chunk_dot(&a[r.clone()], &a[r])),
+                );
+                set_force_serial(true);
+                let ser = (dot(&a, &b), norm_sq(&a));
+                set_force_serial(false);
+                for (got, want) in [(par, ser), (par, pooled)] {
+                    assert_eq!(got.0.to_bits(), want.0.to_bits(), "dot, n = {n}");
+                    assert_eq!(got.1.to_bits(), want.1.to_bits(), "norm_sq, n = {n}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn chunked_sums_fuse_reductions_bitwise() {
+        for n in EDGE_LENGTHS {
+            for (a, b) in pairs(n) {
+                let [ab, aa] = chunked_sums(n, |r| {
+                    let (mut ab, mut aa) = (SUM_IDENTITY, SUM_IDENTITY);
+                    for i in r {
+                        ab += a[i] * b[i];
+                        aa += a[i] * a[i];
+                    }
+                    [ab, aa]
+                });
+                assert_eq!(ab.to_bits(), dot(&a, &b).to_bits(), "n = {n}");
+                assert_eq!(aa.to_bits(), norm_sq(&a).to_bits(), "n = {n}");
+            }
+        }
+    }
+
+    #[test]
+    fn reductions_below_the_cutoff_stay_on_the_caller() {
+        let _switch = lock_switch();
+        let caller = std::thread::current().id();
+        for n in [VEC_GRAIN + 1, VEC_PAR_CUTOFF - 1] {
+            let v = reduce_sum(n, |r| {
+                assert_eq!(std::thread::current().id(), caller, "n = {n} forked");
+                r.len() as f64
+            });
+            assert_eq!(v, n as f64);
+        }
     }
 
     #[test]
@@ -194,29 +233,12 @@ mod tests {
     }
 
     #[test]
-    fn axpy_and_xpby_elementwise() {
+    fn axpy_is_elementwise() {
         let n = VEC_PAR_CUTOFF + 3;
         let x = vec_of(n, |i| i as f64);
         let mut y = vec_of(n, |_| 1.0);
         axpy(2.0, &x, &mut y);
         assert_eq!(y[10], 21.0);
-        let mut p = vec_of(n, |_| 3.0);
-        xpby(&y, 0.5, &mut p);
-        assert_eq!(p[10], 21.0 + 1.5);
-    }
-
-    #[test]
-    fn hadamard_and_cg_update() {
-        let n = 100;
-        let d = vec_of(n, |i| (i % 7) as f64);
-        let r = vec_of(n, |_| 2.0);
-        let mut z = vec![0.0; n];
-        hadamard(&d, &r, &mut z);
-        assert_eq!(z[8], 2.0);
-        let mut x = vec![0.0; n];
-        let mut rr = vec![1.0; n];
-        cg_update(&mut x, 1.0, &d, &mut rr, -1.0, &r);
-        assert_eq!(x[8], 1.0);
-        assert_eq!(rr[8], -1.0);
+        assert_eq!(y[n - 1], 1.0 + 2.0 * (n - 1) as f64);
     }
 }

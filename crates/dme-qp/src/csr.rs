@@ -11,6 +11,36 @@ const SPMV_PAR_CUTOFF_NNZ: usize = 16 * 1024;
 /// order never changes, so this only affects load balancing.
 const SPMV_ROW_GRAIN: usize = 256;
 
+/// Stored entries per row of [`RowBlocks`]. The dose-map programs' rows
+/// hold one to three entries, four with an active-layer map.
+pub(crate) const ROW_WIDTH: usize = 4;
+
+/// Padding columns of [`RowBlocks`], `ncols..ncols + PAD_COLUMNS`. A
+/// scatter adds into its padding column, so consecutive padding entries
+/// cycle through several: with a single one, every padded row's scatter
+/// would wait on the previous row's store to that one slot.
+pub(crate) const PAD_COLUMNS: usize = 16;
+
+/// One row of [`RowBlocks`]: its column indices next to its values.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct RowBlock {
+    pub(crate) cols: [u32; ROW_WIDTH],
+    pub(crate) vals: [f64; ROW_WIDTH],
+}
+
+/// A matrix's rows in fixed-width blocks, for products that walk every
+/// row once with no per-row length: a row of at most [`ROW_WIDTH`]
+/// entries keeps them in CSR order, padded with `(c, 0.0)` entries whose
+/// columns `c` lie past the last, in `ncols..ncols + PAD_COLUMNS`. A
+/// product reads the padding from an `x` with [`PAD_COLUMNS`] trailing
+/// zeros and scatters it into as many trailing scratch slots. Rows with
+/// more entries are listed in `long_rows` (ascending; their blocks are
+/// all padding) and read through the CSR arrays.
+pub(crate) struct RowBlocks {
+    pub(crate) blocks: Vec<RowBlock>,
+    pub(crate) long_rows: Vec<usize>,
+}
+
 /// A sparse matrix in compressed-sparse-row (CSR) format.
 ///
 /// Supports exactly the operations the interior-point solver and the
@@ -31,11 +61,13 @@ pub struct CsrMatrix {
     /// Cached explicit transpose (structural fields only; its own cache
     /// is never populated). Built on first transpose product.
     transpose: OnceLock<Box<CsrMatrix>>,
+    /// Cached fixed-width row layout, built on first use.
+    blocks: OnceLock<Box<RowBlocks>>,
 }
 
 impl Clone for CsrMatrix {
     fn clone(&self) -> Self {
-        // The cache is cheap to rebuild; don't deep-copy it.
+        // The caches are cheap to rebuild; don't deep-copy them.
         Self {
             nrows: self.nrows,
             ncols: self.ncols,
@@ -43,13 +75,14 @@ impl Clone for CsrMatrix {
             col_idx: self.col_idx.clone(),
             vals: self.vals.clone(),
             transpose: OnceLock::new(),
+            blocks: OnceLock::new(),
         }
     }
 }
 
 impl PartialEq for CsrMatrix {
     fn eq(&self, other: &Self) -> bool {
-        // Structural equality only; the transpose cache is derived state.
+        // Structural equality only; the caches are derived state.
         self.nrows == other.nrows
             && self.ncols == other.ncols
             && self.row_ptr == other.row_ptr
@@ -80,6 +113,7 @@ impl CsrMatrix {
             col_idx: Vec::new(),
             vals: Vec::new(),
             transpose: OnceLock::new(),
+            blocks: OnceLock::new(),
         }
     }
 
@@ -92,6 +126,7 @@ impl CsrMatrix {
             col_idx: (0..n).collect(),
             vals: vec![1.0; n],
             transpose: OnceLock::new(),
+            blocks: OnceLock::new(),
         }
     }
 
@@ -106,6 +141,7 @@ impl CsrMatrix {
             col_idx: (0..n).collect(),
             vals: diag.to_vec(),
             transpose: OnceLock::new(),
+            blocks: OnceLock::new(),
         }
     }
 
@@ -148,6 +184,7 @@ impl CsrMatrix {
             col_idx,
             vals,
             transpose: OnceLock::new(),
+            blocks: OnceLock::new(),
         };
         m.sort_and_dedup_rows();
         m
@@ -179,6 +216,7 @@ impl CsrMatrix {
             col_idx,
             vals,
             transpose: OnceLock::new(),
+            blocks: OnceLock::new(),
         };
         m.sort_and_dedup_rows();
         m
@@ -398,7 +436,41 @@ impl CsrMatrix {
                 col_idx,
                 vals,
                 transpose: OnceLock::new(),
+                blocks: OnceLock::new(),
             })
+        })
+    }
+
+    /// The cached [`RowBlocks`] layout of this matrix, built on first use.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `ncols` does not fit a `u32` column index.
+    pub(crate) fn row_blocks(&self) -> &RowBlocks {
+        self.blocks.get_or_init(|| {
+            let ncols = u32::try_from(self.ncols + PAD_COLUMNS)
+                .map(|end| end - PAD_COLUMNS as u32)
+                .expect("column count fits a u32 index");
+            let mut pads = (0..PAD_COLUMNS as u32).cycle();
+            let mut blocks: Vec<RowBlock> = (0..self.nrows)
+                .map(|_| RowBlock {
+                    cols: [(); ROW_WIDTH].map(|()| ncols + pads.next().expect("endless")),
+                    vals: [0.0; ROW_WIDTH],
+                })
+                .collect();
+            let mut long_rows = Vec::new();
+            for (r, block) in blocks.iter_mut().enumerate() {
+                let (lo, hi) = (self.row_ptr[r], self.row_ptr[r + 1]);
+                if hi - lo > ROW_WIDTH {
+                    long_rows.push(r);
+                    continue;
+                }
+                for (k, e) in (lo..hi).enumerate() {
+                    block.cols[k] = self.col_idx[e] as u32;
+                    block.vals[k] = self.vals[e];
+                }
+            }
+            Box::new(RowBlocks { blocks, long_rows })
         })
     }
 

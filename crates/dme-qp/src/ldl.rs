@@ -328,6 +328,7 @@ impl DirectSolver {
             }
         }
 
+        let factor = LdlFactor::new(parent, &counts, &kp, &ki);
         Self {
             fingerprint,
             n,
@@ -341,7 +342,7 @@ impl DirectSolver {
             a_i,
             a_j,
             a_row,
-            factor: LdlFactor::new(parent, &counts),
+            factor,
             nnz_l,
             factors: 0,
             pivots_clamped: 0,
@@ -401,6 +402,13 @@ impl DirectSolver {
 }
 
 /// Up-looking sparse LDLᵀ (Davis) with a persistent symbolic phase.
+///
+/// Each column of `L` ends in a run of consecutive row indices — the
+/// dense trailing block of a supernode — starting at entry `run[j]`. The
+/// column updates of [`LdlFactor::numeric`] and the forward sweep of
+/// [`LdlFactor::solve`] apply that run as one slice update, which the
+/// compiler vectorizes. The updates of one column touch distinct rows,
+/// so each entry still sees the same subtractions in the same order.
 #[derive(Debug, Clone)]
 struct LdlFactor {
     n: usize,
@@ -408,8 +416,10 @@ struct LdlFactor {
     parent: Vec<usize>,
     /// Column pointers of `L` (strict lower triangle, CSC), length n+1.
     lp: Vec<usize>,
-    /// Row indices of `L`, refilled by each numeric pass.
+    /// Row indices of `L`, ascending within each column.
     li: Vec<usize>,
+    /// First entry of each column's trailing run of consecutive rows.
+    run: Vec<usize>,
     /// Values of `L`.
     lx: Vec<f64>,
     /// Diagonal `D`.
@@ -426,19 +436,47 @@ struct LdlFactor {
 
 impl LdlFactor {
     /// Allocates the factor for an elimination tree and the column
-    /// counts of `L`.
-    fn new(parent: Vec<usize>, counts: &[usize]) -> Self {
+    /// counts of `L`, and fills in the pattern of `L` for the permuted
+    /// upper-triangular pattern `(kp, ki)` of `K`: row `k` of `L` is the
+    /// elimination-tree reach of column `k` of `K`, so each column's rows
+    /// come out ascending.
+    fn new(parent: Vec<usize>, counts: &[usize], kp: &[usize], ki: &[usize]) -> Self {
         let n = parent.len();
         let mut lp = vec![0usize; n + 1];
         for j in 0..n {
             lp[j + 1] = lp[j] + counts[j];
         }
         let lnz_total = lp[n];
+        let mut li = vec![0; lnz_total];
+        let mut lnz = vec![0usize; n];
+        let mut flag = vec![NONE; n];
+        for k in 0..n {
+            flag[k] = k;
+            for &row in &ki[kp[k]..kp[k + 1]] {
+                let mut i = row;
+                while flag[i] != k {
+                    li[lp[i] + lnz[i]] = k;
+                    lnz[i] += 1;
+                    flag[i] = k;
+                    i = parent[i];
+                }
+            }
+        }
+        let run = (0..n)
+            .map(|j| {
+                let mut s = lp[j + 1];
+                while s > lp[j] && (s == lp[j + 1] || li[s - 1] + 1 == li[s]) {
+                    s -= 1;
+                }
+                s
+            })
+            .collect();
         Self {
             n,
             parent,
             lp,
-            li: vec![0; lnz_total],
+            li,
+            run,
             lx: vec![0.0; lnz_total],
             d: vec![0.0; n],
             y: vec![0.0; n],
@@ -487,12 +525,17 @@ impl LdlFactor {
                 let yi = self.y[i];
                 self.y[i] = 0.0;
                 let p2 = self.lp[i] + self.lnz[i];
-                for e in self.lp[i]..p2 {
-                    self.y[self.li[e]] -= self.lx[e] * yi;
-                }
+                column_update(
+                    &mut self.y,
+                    &self.li,
+                    &self.lx,
+                    self.lp[i]..p2,
+                    self.run[i],
+                    yi,
+                );
                 let l_ki = yi / self.d[i];
                 dk -= l_ki * yi;
-                self.li[p2] = k;
+                debug_assert_eq!(self.li[p2], k);
                 self.lx[p2] = l_ki;
                 self.lnz[i] += 1;
             }
@@ -512,9 +555,8 @@ impl LdlFactor {
         for j in 0..n {
             let xj = x[j];
             if xj != 0.0 {
-                for e in self.lp[j]..self.lp[j + 1] {
-                    x[self.li[e]] -= self.lx[e] * xj;
-                }
+                let entries = self.lp[j]..self.lp[j + 1];
+                column_update(x, &self.li, &self.lx, entries, self.run[j], xj);
             }
         }
         for (xj, dj) in x.iter_mut().zip(&self.d) {
@@ -530,9 +572,248 @@ impl LdlFactor {
     }
 }
 
+/// `y[li[e]] −= lx[e]·s` for the entries `e` of one column of `L`: the
+/// entries before `run` one by one, the rest — rows `li[run]`,
+/// `li[run] + 1`, … — as one slice update.
+#[inline]
+fn column_update(
+    y: &mut [f64],
+    li: &[usize],
+    lx: &[f64],
+    entries: std::ops::Range<usize>,
+    run: usize,
+    s: f64,
+) {
+    let split = run.clamp(entries.start, entries.end);
+    for e in entries.start..split {
+        y[li[e]] -= lx[e] * s;
+    }
+    if split < entries.end {
+        let r0 = li[split];
+        let ys = &mut y[r0..r0 + (entries.end - split)];
+        for (yv, &l) in ys.iter_mut().zip(&lx[split..entries.end]) {
+            *yv -= l * s;
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::test_support::{assert_same_bits, on_pool_and_serial, Rng};
+    use proptest::prelude::*;
+
+    /// The numeric pass as it ran before the slice updates: each column
+    /// update one entry at a time, and each row index of `L` written into
+    /// `li` as the pass reaches it.
+    fn plain_numeric(
+        f: &mut LdlFactor,
+        kp: &[usize],
+        ki: &[usize],
+        kx: &[f64],
+        pivot_floor: f64,
+    ) -> usize {
+        let n = f.n;
+        f.y[..n].fill(0.0);
+        f.flag.fill(NONE);
+        f.lnz.fill(0);
+        let mut clamped = 0;
+        for k in 0..n {
+            let mut top = n;
+            f.flag[k] = k;
+            for e in kp[k]..kp[k + 1] {
+                let mut i = ki[e];
+                f.y[i] += kx[e];
+                let mut len = 0usize;
+                while f.flag[i] != k {
+                    f.pattern[len] = i;
+                    len += 1;
+                    f.flag[i] = k;
+                    i = f.parent[i];
+                }
+                while len > 0 {
+                    len -= 1;
+                    top -= 1;
+                    f.pattern[top] = f.pattern[len];
+                }
+            }
+            let mut dk = f.y[k];
+            f.y[k] = 0.0;
+            for t in top..n {
+                let i = f.pattern[t];
+                let yi = f.y[i];
+                f.y[i] = 0.0;
+                let p2 = f.lp[i] + f.lnz[i];
+                for e in f.lp[i]..p2 {
+                    f.y[f.li[e]] -= f.lx[e] * yi;
+                }
+                let l_ki = yi / f.d[i];
+                dk -= l_ki * yi;
+                f.li[p2] = k;
+                f.lx[p2] = l_ki;
+                f.lnz[i] += 1;
+            }
+            f.d[k] = if dk.is_finite() && dk > pivot_floor {
+                dk
+            } else {
+                clamped += 1;
+                pivot_floor
+            };
+        }
+        clamped
+    }
+
+    /// The solve with its forward sweep one entry at a time.
+    fn plain_solve(f: &LdlFactor, x: &mut [f64]) {
+        let n = f.n;
+        for j in 0..n {
+            let xj = x[j];
+            if xj != 0.0 {
+                for e in f.lp[j]..f.lp[j + 1] {
+                    x[f.li[e]] -= f.lx[e] * xj;
+                }
+            }
+        }
+        for (xj, dj) in x.iter_mut().zip(&f.d) {
+            *xj /= dj;
+        }
+        for j in (0..n).rev() {
+            let mut xj = x[j];
+            for e in f.lp[j]..f.lp[j + 1] {
+                xj -= f.lx[e] * x[f.li[e]];
+            }
+            x[j] = xj;
+        }
+    }
+
+    /// Factors `K = P + AᵀDA` and solves for each of `bs` (permuted
+    /// space), and holds `L`, `D`, the clamp count and the solutions to
+    /// the plain loops bit for bit. Returns the longest trailing run.
+    fn check_against_plain_loops(
+        p: &CsrMatrix,
+        a: &CsrMatrix,
+        d: &[f64],
+        bs: &[Vec<f64>],
+    ) -> usize {
+        let mut ds = direct(p, a);
+        let mut longest = 0;
+        on_pool_and_serial(|| {
+            ds.factor(p, a, d, &[]);
+            let mut plain = ds.factor.clone();
+            plain.li.fill(NONE);
+            plain.lx.fill(f64::NAN);
+            plain.d.fill(f64::NAN);
+            let max_diag = ds
+                .diag_slot
+                .iter()
+                .fold(0.0f64, |m, &s| m.max(ds.kx[s].abs()));
+            let floor = 1e-12 * max_diag.max(1e-300);
+            let clamped = plain_numeric(&mut plain, &ds.kp, &ds.ki, &ds.kx, floor);
+            assert_eq!(plain.li, ds.factor.li, "the pattern of L");
+            assert_eq!(clamped, ds.pivots_clamped, "clamped pivots");
+            assert_same_bits("L", &ds.factor.lx, &plain.lx);
+            assert_same_bits("D", &ds.factor.d, &plain.d);
+            for b in bs {
+                let (mut got, mut want) = (b.clone(), b.clone());
+                ds.factor.solve(&mut got);
+                plain_solve(&plain, &mut want);
+                assert_same_bits("x", &got, &want);
+            }
+            let f = &ds.factor;
+            longest = (0..f.n).map(|j| f.lp[j + 1] - f.run[j]).max().unwrap_or(0);
+        });
+        longest
+    }
+
+    /// Right-hand sides with zero entries (the forward sweep skips them).
+    fn rhs(rng: &mut Rng, n: usize) -> Vec<Vec<f64>> {
+        (0..2)
+            .map(|_| {
+                (0..n)
+                    .map(|_| {
+                        if rng.chance(0.2) {
+                            0.0
+                        } else {
+                            rng.range(-2.0, 2.0)
+                        }
+                    })
+                    .collect()
+            })
+            .collect()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// Random SPD programs, barrier weights over sixteen decades.
+        #[test]
+        fn slice_updates_match_the_plain_loops(
+            seed in any::<u64>(),
+            n in 2usize..80,
+            m in 1usize..120,
+        ) {
+            let mut rng = Rng::new(seed);
+            let rows: Vec<Vec<(usize, f64)>> = (0..m)
+                .map(|_| {
+                    let len = 1 + rng.below(5);
+                    (0..len).map(|_| (rng.below(n), rng.range(-2.0, 2.0))).collect()
+                })
+                .collect();
+            let a = CsrMatrix::from_rows(n, &rows);
+            let p_diag: Vec<f64> = (0..n)
+                .map(|_| if rng.chance(0.3) { 0.0 } else { rng.range(0.0, 3.0) })
+                .collect();
+            let p = CsrMatrix::diagonal(&p_diag);
+            let d: Vec<f64> = (0..m)
+                .map(|_| if rng.chance(0.1) { 0.0 } else { rng.decades(-8.0, 8.0) })
+                .collect();
+            let bs = rhs(&mut rng, n);
+            check_against_plain_loops(&p, &a, &d, &bs);
+        }
+    }
+
+    /// The pattern of a 1000-cell DMopt program (`tests/data`), with
+    /// seeded values: its trailing dose block gives columns runs of
+    /// dozens of consecutive rows.
+    #[test]
+    fn slice_updates_match_the_plain_loops_on_a_dmopt_program() {
+        let text = include_str!("../tests/data/dmopt_1k_s10.pattern");
+        let mut lines = text.lines().filter(|l| !l.starts_with('#'));
+        let numbers = |l: &str| -> Vec<usize> {
+            l.split_whitespace()
+                .map(|t| t.parse().expect("an index"))
+                .collect()
+        };
+        let (n, m) = match numbers(lines.next().expect("sizes"))[..] {
+            [n, m] => (n, m),
+            _ => panic!("the first line holds n and m"),
+        };
+        let mut rng = Rng::new(10);
+        let mut p_diag = vec![0.0; n];
+        for j in numbers(lines.next().expect("P's diagonal")) {
+            p_diag[j] = rng.decades(-2.0, 1.0);
+        }
+        let rows: Vec<Vec<(usize, f64)>> = lines
+            .map(|l| {
+                numbers(l)
+                    .into_iter()
+                    .map(|c| (c, rng.pick(&[-1.0, 1.0]) * rng.decades(-3.0, 0.5)))
+                    .collect()
+            })
+            .collect();
+        assert_eq!(rows.len(), m);
+        let a = CsrMatrix::from_rows(n, &rows);
+        let p = CsrMatrix::diagonal(&p_diag);
+        for spread in [0.0, 8.0] {
+            let d: Vec<f64> = (0..m).map(|_| rng.decades(-spread, spread)).collect();
+            let bs = rhs(&mut rng, n);
+            let longest = check_against_plain_loops(&p, &a, &d, &bs);
+            assert!(
+                longest >= 64,
+                "the dose block's columns end in long runs ({longest})"
+            );
+        }
+    }
 
     /// Dense reference: K·x for the assembled normal equations.
     fn normal_mul(p: &CsrMatrix, a: &CsrMatrix, d: &[f64], x: &[f64]) -> Vec<f64> {

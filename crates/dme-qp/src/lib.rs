@@ -47,6 +47,8 @@
 mod csr;
 mod error;
 mod ipm;
+#[doc(hidden)]
+pub mod kernels;
 mod ldl;
 pub mod lsq;
 pub mod mps;
@@ -54,6 +56,8 @@ mod observer;
 mod ordering;
 mod scaling;
 mod strategies;
+#[cfg(test)]
+mod test_support;
 
 pub use csr::CsrMatrix;
 pub use error::SolveError;

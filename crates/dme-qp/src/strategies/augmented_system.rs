@@ -10,10 +10,11 @@
 //! ([`CondensedSystem::prepare`]) serves both solves of an iteration —
 //! exactly what the Mehrotra predictor/corrector pair exploits.
 
+use crate::csr::{RowBlocks, PAD_COLUMNS, ROW_WIDTH};
 use crate::ldl::DirectSolver;
 use crate::observer::{CgSolve, FactorizationEvent, SolverObserver};
 use crate::{CsrMatrix, SolveError};
-use dme_par::vecops;
+use dme_par::vecops::{self, chunked_sums, SUM_IDENTITY};
 use std::time::Instant;
 
 /// CG iterations per Newton solve before the solve stops short of its
@@ -54,7 +55,7 @@ pub(crate) struct CondensedSystem<'a> {
 }
 
 /// A quadratic row as [`CondensedSystem::prepare`] last saw it.
-struct PreparedRow {
+pub(crate) struct PreparedRow {
     /// `λ·p_c`.
     hessian: Vec<f64>,
     /// Row gradient `g`.
@@ -67,30 +68,97 @@ struct PreparedRow {
     denom: f64,
 }
 
-/// `out = (P + diag(h) + AᵀDA + w·ggᵀ)·x` for the row terms `(h, g, w)`,
-/// with `tm` (one entry per row of `A`) and `tn` (one per column) as
-/// scratch.
-#[allow(clippy::too_many_arguments)]
-fn apply_k(
+/// Scatters `AᵀD·A·x` into `tn` in one ascending pass over `A`'s rows
+/// ([`RowBlocks`]): row `r` forms `t_r = a_r·x` in CSR order and
+/// `s_r = t_r·d_r`, and unless `s_r == 0.0` adds `a_rc·s_r` to `tn[c]`.
+///
+/// Each `tn[c]` therefore adds exactly the terms the transpose gather
+/// `Aᵀ·(D·(A·x))` adds, in its ascending-row order, skipping the same
+/// zeros — the same bits. A padding entry adds `0.0·0.0` to a row sum that
+/// started as `0.0 + …` and so is never `−0.0`, which leaves it unchanged.
+///
+/// `x` ends in the padding columns' [`PAD_COLUMNS`] zeros; `tn` has the
+/// same length and is `+0.0` in every entry that is read afterwards.
+fn scatter_normal(a: &CsrMatrix, d: &[f64], x: &[f64], tn: &mut [f64]) {
+    let RowBlocks { blocks, long_rows } = a.row_blocks();
+    let m = a.nrows();
+    let mut start = 0;
+    for &stop in long_rows.iter().chain(std::iter::once(&m)) {
+        for (b, &dr) in blocks[start..stop].iter().zip(&d[start..stop]) {
+            let mut t = 0.0;
+            for k in 0..ROW_WIDTH {
+                t += b.vals[k] * x[b.cols[k] as usize];
+            }
+            let s = t * dr;
+            if s != 0.0 {
+                for k in 0..ROW_WIDTH {
+                    tn[b.cols[k] as usize] += b.vals[k] * s;
+                }
+            }
+        }
+        if stop < m {
+            // A row wider than the blocks: the same arithmetic via CSR.
+            let (a_ptr, a_idx, a_val) = a.raw_parts();
+            let entries = a_ptr[stop]..a_ptr[stop + 1];
+            let mut t = 0.0;
+            for e in entries.clone() {
+                t += a_val[e] * x[a_idx[e]];
+            }
+            let s = t * d[stop];
+            if s != 0.0 {
+                for e in entries {
+                    tn[a_idx[e]] += a_val[e] * s;
+                }
+            }
+        }
+        start = stop + 1;
+    }
+}
+
+/// Entry `j` of `(P + diag(h) + AᵀDA + c·g)·x` from `P`'s CSR arrays and
+/// the scattered `tn_j`, adding in the order the separate products did:
+/// `P_j·x`, then `tn_j`, then (with a quadratic row and `c = w·gᵀx`)
+/// `h_j·x_j` and `c·g_j`.
+#[inline(always)]
+fn k_entry(
+    (p_ptr, p_idx, p_val): (&[usize], &[usize], &[f64]),
+    row: Option<(&PreparedRow, f64)>,
+    x: &[f64],
+    tn_j: f64,
+    j: usize,
+) -> f64 {
+    let mut acc = 0.0;
+    for e in p_ptr[j]..p_ptr[j + 1] {
+        acc += p_val[e] * x[p_idx[e]];
+    }
+    acc += tn_j;
+    if let Some((r, c)) = row {
+        acc += r.hessian[j] * x[j];
+        acc += c * r.gradient[j];
+    }
+    acc
+}
+
+/// `out = (P + diag(h) + AᵀDA + w·ggᵀ)·x` for the row terms `(h, g, w)`:
+/// one pass over `A`'s rows ([`scatter_normal`]) and one over the
+/// variables. `x` ends in [`PAD_COLUMNS`] zeros; `tn` (as long) is `+0.0`
+/// on entry and left so.
+pub(crate) fn apply_k(
     p: &CsrMatrix,
     a: &CsrMatrix,
     d: &[f64],
     row: Option<&PreparedRow>,
     x: &[f64],
     out: &mut [f64],
-    tm: &mut [f64],
     tn: &mut [f64],
 ) {
-    p.mul_vec_into(x, out);
-    a.mul_vec_into(x, tm);
-    vecops::mul_assign(&d[..tm.len()], tm);
-    a.mul_transpose_vec_into(tm, tn);
-    vecops::axpy(1.0, tn, out);
-    if let Some(r) = row {
-        for j in 0..x.len() {
-            out[j] += r.hessian[j] * x[j];
-        }
-        vecops::axpy(r.weight * vecops::dot(&r.gradient, x), &r.gradient, out);
+    let n = out.len();
+    scatter_normal(a, d, x, tn);
+    let row = row.map(|r| (r, r.weight * vecops::dot(&r.gradient, &x[..n])));
+    let parts = p.raw_parts();
+    for (j, o) in out.iter_mut().enumerate() {
+        *o = k_entry(parts, row, x, tn[j], j);
+        tn[j] = 0.0;
     }
 }
 
@@ -104,8 +172,7 @@ impl<'a> CondensedSystem<'a> {
         direct: Option<&'a mut DirectSolver>,
     ) -> Self {
         let n = p.ncols();
-        let m = a.nrows();
-        let cg = direct.is_none().then(|| CgScratch::new(n, m));
+        let cg = direct.is_none().then(|| CgScratch::new(n));
         Self {
             p,
             a,
@@ -251,17 +318,18 @@ fn direct_newton_solve(
     abs_tol: f64,
 ) -> Result<CgSolve, SolveError> {
     let n = rhs.len();
-    let m = a.nrows();
     CondensedSystem::direct_apply_inverse(ds, row, rhs, dx);
     let mut corr = vec![0.0f64; n];
     let mut resid = vec![0.0f64; n];
-    let mut tm = vec![0.0f64; m];
-    let mut tn = vec![0.0f64; n];
+    // `dx` with the operator's padding zeros, and its scatter scratch.
+    let mut xp = vec![0.0f64; n + PAD_COLUMNS];
+    let mut tn = vec![0.0f64; n + PAD_COLUMNS];
     let b_norm = vecops::norm2(rhs).max(1e-300);
     let mut rel = 0.0;
     for _ in 0..3 {
         // resid = rhs − K·dx, matrix-free.
-        apply_k(p, a, d, row, dx, &mut resid, &mut tm, &mut tn);
+        xp[..n].copy_from_slice(dx);
+        apply_k(p, a, d, row, &xp, &mut resid, &mut tn);
         for j in 0..n {
             resid[j] = rhs[j] - resid[j];
         }
@@ -288,24 +356,40 @@ fn direct_newton_solve(
 }
 
 /// Matrix-free CG on `(P + AᵀDA)` with Jacobi preconditioning.
+///
+/// One iteration is the operator's row pass plus three passes over the
+/// variables, each carrying the reductions the next step needs:
+///
+/// - A: the operator's last pass, `kp += 1e-12·p` and `p·kp`;
+/// - B: `x += α·p`, `r −= α·kp`, `z = M⁻¹r`, `r·z` and `r·r` (the next
+///   convergence test);
+/// - C: `p = z + β·p` and `g·p` (the quadratic row's next product).
+///
+/// Every element operation is the one the separate vector kernels ran,
+/// and every reduction adds its terms in `vecops::dot`'s order
+/// ([`chunked_sums`]), so iterates, counts and residuals are those of the
+/// composed loop to the bit. The passes run serially: at these sizes a
+/// fork-join costs more than it saves.
 struct CgScratch {
     r: Vec<f64>,
     z: Vec<f64>,
+    /// The search direction plus the operator's padding zeros.
     p: Vec<f64>,
     kp: Vec<f64>,
-    sm: Vec<f64>,
-    sn: Vec<f64>,
+    /// Scatter scratch of the operator, `+0.0` between products.
+    tn: Vec<f64>,
+    inv_prec: Vec<f64>,
 }
 
 impl CgScratch {
-    fn new(n: usize, m: usize) -> Self {
+    fn new(n: usize) -> Self {
         Self {
             r: vec![0.0; n],
             z: vec![0.0; n],
-            p: vec![0.0; n],
+            p: vec![0.0; n + PAD_COLUMNS],
             kp: vec![0.0; n],
-            sm: vec![0.0; m],
-            sn: vec![0.0; n],
+            tn: vec![0.0; n + PAD_COLUMNS],
+            inv_prec: vec![0.0; n],
         }
     }
 
@@ -323,9 +407,17 @@ impl CgScratch {
         abs_tol: f64,
     ) -> Result<CgSolve, SolveError> {
         let n = b.len();
+        let Self {
+            r,
+            z,
+            p,
+            kp,
+            tn,
+            inv_prec,
+        } = self;
         // Jacobi preconditioner: diag(P) + Σ d_i·a_ij², stored inverted so
-        // the per-iteration apply is a parallel element-wise product.
-        let mut inv_prec = vec![1e-12f64; n];
+        // the per-iteration apply is an element-wise product.
+        inv_prec.fill(1e-12);
         for j in 0..n {
             inv_prec[j] += p_diag[j];
         }
@@ -339,34 +431,33 @@ impl CgScratch {
                 *ip += h + r.weight * g * g;
             }
         }
-        for v in &mut inv_prec {
+        for v in inv_prec.iter_mut() {
             *v = 1.0 / *v;
         }
-        let b_norm = vecops::norm2(b).max(1e-300);
-        // x starts at 0, so r = b.
-        self.r.copy_from_slice(b);
-        vecops::hadamard(&inv_prec, &self.r, &mut self.z);
-        let mut rz = vecops::dot(&self.r, &self.z);
-        self.p.copy_from_slice(&self.z);
+        // x starts at 0, so r = b: z = M⁻¹r, p = z, r·z and r·r = ‖b‖².
+        r.copy_from_slice(b);
+        let [mut rz, mut rr] = chunked_sums(n, |range| {
+            let (mut rz, mut rr) = (SUM_IDENTITY, SUM_IDENTITY);
+            for i in range {
+                let zi = inv_prec[i] * r[i];
+                z[i] = zi;
+                p[i] = zi;
+                rz += r[i] * zi;
+                rr += r[i] * r[i];
+            }
+            [rz, rr]
+        });
+        let b_norm = rr.sqrt().max(1e-300);
+        let gradient = row.map(|r| &r.gradient[..]);
+        let mut gp = gradient.map_or(0.0, |g| vecops::dot(g, &p[..n]));
         let tol = (rel_tol * b_norm).min(abs_tol.max(rel_tol * b_norm * 1e-3));
         let mut iterations = 0usize;
         for _ in 0..CG_MAX_ITER {
-            let r_norm = vecops::norm2(&self.r);
-            if r_norm <= tol {
+            if rr.sqrt() <= tol {
                 break;
             }
-            apply_k(
-                pm,
-                a,
-                d,
-                row,
-                &self.p,
-                &mut self.kp,
-                &mut self.sm,
-                &mut self.sn,
-            );
-            vecops::axpy(1e-12, &self.p, &mut self.kp);
-            let pkp = vecops::dot(&self.p, &self.kp);
+            scatter_normal(a, d, p, tn);
+            let pkp = product_pass(pm, row.map(|r| (r, r.weight * gp)), p, tn, kp);
             if !pkp.is_finite() || pkp <= 0.0 {
                 if pkp < 0.0 {
                     return Err(SolveError::Numerical(
@@ -377,15 +468,15 @@ impl CgScratch {
             }
             iterations += 1;
             let alpha = rz / pkp;
-            vecops::cg_update(x, alpha, &self.p, &mut self.r, -alpha, &self.kp);
-            vecops::hadamard(&inv_prec, &self.r, &mut self.z);
-            let rz_new = vecops::dot(&self.r, &self.z);
+            let rz_new;
+            [rz_new, rr] = step_pass(alpha, p, kp, inv_prec, x, r, z);
             let beta = rz_new / rz.max(1e-300);
             rz = rz_new;
-            vecops::xpby(&self.z, beta, &mut self.p);
+            gp = direction_pass(beta, z, gradient, p);
         }
-        let rel_residual = vecops::norm2(&self.r) / b_norm;
-        let capped = iterations == CG_MAX_ITER && vecops::norm2(&self.r) > tol;
+        let r_norm = rr.sqrt();
+        let rel_residual = r_norm / b_norm;
+        let capped = iterations == CG_MAX_ITER && r_norm > tol;
         if x.iter().any(|v| !v.is_finite()) {
             return Err(SolveError::Numerical(
                 "CG produced non-finite iterate".into(),
@@ -398,3 +489,77 @@ impl CgScratch {
         })
     }
 }
+
+/// Pass A: the operator's last pass ([`k_entry`], with the quadratic
+/// row's `(terms, w·gᵀp)`) fused with `kp += 1e-12·p`; returns `p·kp`.
+/// Resets `tn[..n]` to `+0.0` for the next product.
+fn product_pass(
+    pm: &CsrMatrix,
+    row: Option<(&PreparedRow, f64)>,
+    p: &[f64],
+    tn: &mut [f64],
+    kp: &mut [f64],
+) -> f64 {
+    let parts = pm.raw_parts();
+    let [pkp] = chunked_sums(kp.len(), |range| {
+        let mut pkp = SUM_IDENTITY;
+        for j in range {
+            let kpj = k_entry(parts, row, p, tn[j], j) + 1e-12 * p[j];
+            tn[j] = 0.0;
+            kp[j] = kpj;
+            pkp += p[j] * kpj;
+        }
+        [pkp]
+    });
+    pkp
+}
+
+/// Pass B: `x += α·p`, `r −= α·kp`, `z = M⁻¹r`; returns `[r·z, r·r]`.
+fn step_pass(
+    alpha: f64,
+    p: &[f64],
+    kp: &[f64],
+    inv_prec: &[f64],
+    x: &mut [f64],
+    r: &mut [f64],
+    z: &mut [f64],
+) -> [f64; 2] {
+    let neg_alpha = -alpha;
+    chunked_sums(r.len(), |range| {
+        let (mut rz, mut rr) = (SUM_IDENTITY, SUM_IDENTITY);
+        for i in range {
+            x[i] += alpha * p[i];
+            let ri = r[i] + neg_alpha * kp[i];
+            r[i] = ri;
+            let zi = inv_prec[i] * ri;
+            z[i] = zi;
+            rz += ri * zi;
+            rr += ri * ri;
+        }
+        [rz, rr]
+    })
+}
+
+/// Pass C: `p = z + β·p` over `z`'s length; returns `g·p` for the
+/// quadratic row's gradient `g` (`0.0` without one).
+fn direction_pass(beta: f64, z: &[f64], gradient: Option<&[f64]>, p: &mut [f64]) -> f64 {
+    let Some(g) = gradient else {
+        for (pi, &zi) in p.iter_mut().zip(z) {
+            *pi = zi + beta * *pi;
+        }
+        return 0.0;
+    };
+    let [gp] = chunked_sums(z.len(), |range| {
+        let mut gp = SUM_IDENTITY;
+        for i in range {
+            let pi = z[i] + beta * p[i];
+            p[i] = pi;
+            gp += g[i] * pi;
+        }
+        [gp]
+    });
+    gp
+}
+
+#[cfg(test)]
+mod tests;

@@ -15,6 +15,6 @@ mod augmented_system;
 mod line_search;
 mod mu_update;
 
-pub(crate) use augmented_system::{CondensedSystem, RowTerms};
+pub(crate) use augmented_system::{apply_k, CondensedSystem, RowTerms};
 pub(crate) use line_search::{step_lengths, RowView};
 pub(crate) use mu_update::mehrotra_sigma;
